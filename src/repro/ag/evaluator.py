@@ -2,10 +2,12 @@
 
 Evaluates attribute instances over a parse tree by demand with
 memoization, detecting genuinely circular instances on the fly.  The
-static visit-sequence evaluator (:mod:`repro.ag.static_eval`) is the
-analog of the code Linguist generates for ordered AGs; this evaluator
-is the reference semantics both are tested against, and the one the
-VHDL compiler uses by default (it handles any noncircular AG).
+compiled visit-sequence evaluator (:mod:`repro.ag.static_eval`) is the
+analog of the code Linguist generates for ordered AGs, and the one
+:meth:`repro.ag.spec.CompiledAG.evaluate` runs for them, both VHDL AGs
+included.  This evaluator has two jobs: it is the fallback for grammars
+that fail the OAG test (it handles any noncircular AG), and it is the
+reference semantics the compiled evaluator is tested against.
 
 The implementation is iterative — VHDL statement lists produce trees
 whose depth is proportional to source length, so recursion is not an

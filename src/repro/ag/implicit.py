@@ -13,7 +13,7 @@ from .errors import AttributeError_
 from .rules import Occurrence, SemanticRule
 
 
-def _identity(x):
+def identity(x):
     return x
 
 
@@ -84,7 +84,7 @@ def _build_implicit(production, attr_table, occ):
                    occ.attr, cls.name)
             )
         return SemanticRule(
-            production, occ, [sources[0]], _identity, implicit="copy"
+            production, occ, [sources[0]], identity, implicit="copy"
         )
 
     # Synthesized LHS occurrence: fold the RHS occurrences of the class.
@@ -104,7 +104,7 @@ def _build_implicit(production, attr_table, occ):
         return SemanticRule(production, occ, [], fn, implicit="unit")
     if len(sources) == 1 and cls.copy:
         return SemanticRule(
-            production, occ, sources, _identity, implicit="copy"
+            production, occ, sources, identity, implicit="copy"
         )
     merge = cls.merge
     if merge is None:

@@ -9,9 +9,9 @@ count* — the "max visits" statistic of the paper's §4.1 table (3 for
 their VHDL AG, 4 for the expression AG).
 
 From the partitions we derive one *visit sequence* (plan) per
-production and visit: a list of EVAL and VISIT actions that the static
-evaluator (:mod:`repro.ag.static_eval`) executes — the analog of the
-evaluator code Linguist generates.
+production and visit: a list of EVAL and VISIT actions that
+:mod:`repro.ag.static_eval` compiles into one Python function each —
+the analog of the evaluator code Linguist generates.
 """
 
 from .attributes import SYN, INH

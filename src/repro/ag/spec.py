@@ -22,9 +22,14 @@ Example::
 """
 
 from .attributes import SYN, INH, AttrTable, AttributeClass
-from .errors import AttributeError_, GrammarError
+from .errors import (
+    AttributeError_,
+    CircularityError,
+    GrammarError,
+    NotOrderedError,
+)
 from .grammar import Grammar
-from .implicit import complete_production
+from .implicit import complete_production, identity
 from .lr import build_tables, Parser
 from .rules import SemanticRule, resolve_ref
 
@@ -61,7 +66,7 @@ class ProductionSpec:
 
     def copy(self, target, source):
         """Sugar: explicit copy rule ``target = source``."""
-        return self.rule(target, source, fn=lambda v: v)
+        return self.rule(target, source, fn=identity)
 
     def const(self, target, value):
         """Sugar: constant rule ``target = value``."""
@@ -228,13 +233,19 @@ def _parse_production_text(label, text):
     return lhs, rhs
 
 
+#: ``CompiledAG._program`` before the first :meth:`CompiledAG.visit_program`
+_PENDING = object()
+
+
 class CompiledAG:
     """A generated translator: parser plus attribute evaluation.
 
     This object plays the role of the evaluator Linguist generates from
-    an AG source file.  Evaluation defaults to the dynamic
-    (demand-driven) evaluator; :meth:`analyze` runs the ordered-AG
-    analysis and :meth:`visit_sequences` yields the static plans.
+    an AG source file.  :meth:`analyze` runs the ordered-AG analysis;
+    for an ordered grammar, :meth:`evaluate` runs the visit sequences
+    compiled to Python (:meth:`visit_program`, generated on first use).
+    A grammar that fails the OAG test falls back to the dynamic
+    (demand-driven) evaluator.
     """
 
     def __init__(self, spec, tables, rule_indices, explicit, implicit):
@@ -248,6 +259,7 @@ class CompiledAG:
         self.n_explicit_rules = explicit
         self.n_implicit_rules = implicit
         self._analysis = None
+        self._program = _PENDING
 
     def rules_of(self, production):
         """Rule index ``{(pos, attr): SemanticRule}`` for a production."""
@@ -261,13 +273,15 @@ class CompiledAG:
         attributes (all root synthesized attributes by default).
 
         ``observer`` is an optional :class:`repro.diag.AGObserver`
-        that receives rule-firing and memo-hit counters.
+        that receives visit and rule-firing counters.
         """
-        from .evaluator import DynamicEvaluator
+        program = self.visit_program()
+        if program is None:
+            from .evaluator import DynamicEvaluator
 
-        evaluator = DynamicEvaluator(self, inherited or {},
-                                     observer=observer)
-        return evaluator.goal_attributes(tree, goals)
+            return DynamicEvaluator(self, inherited, observer=observer) \
+                .goal_attributes(tree, goals)
+        return program.evaluate(tree, inherited, goals, observer)
 
     def run(self, tokens, inherited=None, goals=None, filename="<input>",
             observer=None):
@@ -282,6 +296,25 @@ class CompiledAG:
 
             self._analysis = OrderedAnalysis(self)
         return self._analysis
+
+    def visit_program(self):
+        """The visit sequences compiled to Python
+        (:class:`repro.ag.static_eval.VisitProgram`), generated and
+        cached on first call; ``None`` when the grammar is not ordered."""
+        if self._program is _PENDING:
+            from .ordered import OrderedAnalysis
+            from .static_eval import VisitProgram
+
+            try:
+                # Not stored in ``_analysis``: the program needs the
+                # dependency graphs only while it is generated, and a
+                # long-lived process would keep them for nothing.
+                analysis = self._analysis or OrderedAnalysis(self)
+            except (NotOrderedError, CircularityError):
+                self._program = None
+            else:
+                self._program = VisitProgram(self, analysis)
+        return self._program
 
     def statistics(self):
         """The §4.1 statistics row for this grammar."""

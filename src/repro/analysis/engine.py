@@ -18,7 +18,6 @@ import json
 import os
 
 from ..metrics import NULL_REGISTRY
-from .facts import extract_unit_facts
 from .rules import REGISTRY, LintContext
 
 # Registering the elaborated-design rules (RPE) is a side effect of
@@ -69,7 +68,7 @@ class LintEngine:
 
     def lint_unit(self, node, kind=None):
         """Lint one VIF unit node; returns a list of Diagnostics."""
-        facts = extract_unit_facts(node, kind=kind)
+        facts = self.context.unit_facts(node, kind=kind)
         self._m_units.inc()
         found = []
         for rule in self._rules("unit"):

@@ -102,6 +102,7 @@ class LintContext:
                              else "work")
         self._port_cache = {}
         self._external_uses = None
+        self._facts = {}  # (id(node), kind) -> (node, UnitFacts)
 
     def span(self, facts, line):
         if line is None and facts.file is None:
@@ -113,6 +114,19 @@ class LintContext:
         if ports is None:
             return None
         return ports.get(formal)
+
+    def unit_facts(self, node, kind=None):
+        """:func:`~repro.analysis.facts.extract_unit_facts` of ``node``,
+        extracted once per context: the per-unit rules and
+        :meth:`external_uses` share one pass's facts."""
+        key = (id(node), kind)
+        entry = self._facts.get(key)
+        if entry is None or entry[0] is not node:
+            from .facts import extract_unit_facts
+
+            entry = self._facts[key] = (
+                node, extract_unit_facts(node, kind=kind))
+        return entry[1]
 
     def external_uses(self):
         """Generated binding names each library unit uses without
@@ -129,13 +143,12 @@ class LintContext:
             return self._external_uses
         refs = set()
         if self.library is not None:
-            from .facts import extract_unit_facts
             for key in list(getattr(self.library, "_units", ())):
                 node = self.library.find_unit(*key) \
                     or self.library._units.get(key)
                 if node is None:
                     continue
-                facts = extract_unit_facts(node)
+                facts = self.unit_facts(node)
                 used = set()
                 for proc in facts.processes:
                     used |= proc.uses

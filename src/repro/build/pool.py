@@ -2,10 +2,10 @@
 
 Both the incremental build scheduler and the ``repro fuzz`` sweep
 runner fan CPU-bound tasks across processes the same way: a ``fork``
-multiprocessing context whose parent *warms* the generated principal
-grammar first, so every worker inherits the translator instead of
-re-running the Linguist step per process.  :class:`ForkPool` owns that
-recipe in one place.
+multiprocessing context whose parent *warms* the generated
+translators first (:func:`warm_grammar`), so every worker inherits them
+instead of re-running the Linguist step per process.
+:class:`ForkPool` owns that recipe in one place.
 
 The pool degrades gracefully: when ``fork`` is unavailable (or
 ``jobs=1``) every task runs inline in the parent, so callers get one
@@ -40,10 +40,15 @@ def fork_available():
 
 
 def warm_grammar():
-    """The default warm step: generate the principal translator."""
+    """The default warm step: generate both translators (the principal
+    AG and the cascaded expression AG) and their compiled visit
+    functions, so forked workers inherit them instead of regenerating
+    them per process."""
+    from ..vhdl.expr_grammar import expr_grammar
     from ..vhdl.grammar import principal_grammar
 
-    principal_grammar()
+    for grammar in (principal_grammar(), expr_grammar()):
+        grammar.visit_program()
 
 
 class ForkPool:

@@ -46,8 +46,15 @@ class AGObserver:
     def record_miss(self):
         self.cache_misses += 1
 
-    def record_visit(self, symbol):
-        self.visits[getattr(symbol, "name", str(symbol))] += 1
+    def record_plan(self, production, visits, firings, grammar=None):
+        """Batched counts of one visit-sequence plan of ``production``:
+        ``visits`` executions firing ``firings`` rules in total."""
+        self.visits[production.lhs.name] += visits
+        if firings:
+            self.rule_firings[production.label] += firings
+            self.cache_misses += firings
+            if grammar is not None:
+                self.grammar_firings[grammar] += firings
 
     # -- aggregation -------------------------------------------------------
 

@@ -210,6 +210,9 @@ def bridge_ag_stats(registry, stats):
             stats.get("cache_misses", 0))
     registry.gauge("ag_memo_hit_rate", "memo hit rate").set(
         stats.get("hit_rate", 0.0))
+    registry.counter(
+        "ag_visits_total", "static-evaluator symbol visits").set_total(
+            sum(stats.get("visits", {}).values()))
     return registry
 
 

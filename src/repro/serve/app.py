@@ -36,7 +36,9 @@ that ``GET /trace`` exposes.
 The app owns one :class:`~repro.metrics.MetricsRegistry` for its whole
 lifetime — ``serve_requests_total{route=,status=}``,
 ``serve_inflight``, ``serve_request_seconds{route=}`` histograms, and
-the job/batch families from :mod:`repro.serve.jobs` — and ``/metrics``
+the job/batch families from :mod:`repro.serve.jobs`, which also counts
+the compile batches' ``ag_rule_firings_total`` and ``ag_visits_total``
+— and ``/metrics``
 renders it live through the same Prometheus renderer the file sinks
 use.  During shutdown the app stops admitting jobs (503) while
 in-flight ones drain.
@@ -48,6 +50,7 @@ import shutil
 import tempfile
 import time
 
+from ..build.pool import warm_grammar
 from ..diag import Diagnostic, render_jsonl
 from ..metrics import MetricsRegistry
 from ..metrics.registry import SECONDS_BUCKETS
@@ -118,11 +121,10 @@ class ServeApp:
     # -- lifecycle ---------------------------------------------------------
 
     def warm(self):
-        """Generate the translator before the first request (the
-        paper's Linguist step runs before any compilation)."""
-        from ..vhdl.grammar import principal_grammar
-
-        principal_grammar()
+        """Generate both translators before the first request (the
+        paper's Linguist step runs before any compilation), so forked
+        build workers inherit them."""
+        warm_grammar()
 
     async def shutdown(self):
         """Stop admitting jobs, drain in-flight ones, release."""

@@ -114,6 +114,10 @@ class JobRunner:
             "serve_job_queue_seconds",
             "time a job waited before running",
             buckets=_seconds_buckets())
+        self._m_ag_firings = metrics.counter(
+            "ag_rule_firings_total", "semantic-rule firings")
+        self._m_ag_visits = metrics.counter(
+            "ag_visits_total", "static-evaluator symbol visits")
         self._seq = 0
         self._pending = {}   # session id -> [_CompileJob]
         self._drainers = {}  # session id -> asyncio.Task
@@ -213,6 +217,9 @@ class JobRunner:
             return
         run_s = time.perf_counter() - started
         workspace.invalidate()
+        ag = report.ag_stats
+        self._m_ag_firings.inc(ag.get("total_firings", 0))
+        self._m_ag_visits.inc(sum(ag.get("visits", {}).values()))
         self._record_batch_spans(jobs, batch_ctx, report, started,
                                  started_ts, run_s, len(batch_paths))
         for job in jobs:

@@ -1,4 +1,5 @@
-"""Tests for the dynamic evaluator, and agreement with the static one."""
+"""Tests for the dynamic evaluator, the compiled static one (the
+default for ordered grammars), and their agreement."""
 
 import pytest
 
@@ -26,24 +27,29 @@ def lexer():
     return make_lexer()
 
 
+def dynamic_run(compiled, tokens, inherited=None):
+    tree = compiled.parse(tokens)
+    return DynamicEvaluator(compiled, inherited).goal_attributes(tree)
+
+
 class TestDynamicEvaluation:
     def test_arithmetic(self, calc, lexer):
-        out = calc.run(lexer.scan("2 + 3 * (4 + 5)"), inherited={"env": {}})
+        out = dynamic_run(calc, lexer.scan("2 + 3 * (4 + 5)"), {"env": {}})
         assert out["val"] == 29
 
     def test_subtraction_left_assoc(self, calc, lexer):
-        out = calc.run(lexer.scan("10 - 3 - 2"), inherited={"env": {}})
+        out = dynamic_run(calc, lexer.scan("10 - 3 - 2"), {"env": {}})
         assert out["val"] == 5
 
     def test_inherited_environment_reaches_leaves(self, calc, lexer):
-        out = calc.run(
-            lexer.scan("x * y + 1"), inherited={"env": {"x": 6, "y": 7}}
+        out = dynamic_run(
+            calc, lexer.scan("x * y + 1"), {"env": {"x": 6, "y": 7}}
         )
         assert out["val"] == 43
 
     def test_merge_class_counts_leaves(self, calc, lexer):
-        out = calc.run(lexer.scan("1 + 2 * (3 - x)"),
-                       inherited={"env": {"x": 0}})
+        out = dynamic_run(calc, lexer.scan("1 + 2 * (3 - x)"),
+                          {"env": {"x": 0}})
         assert out["NODES"] == 4
 
     def test_unit_element_on_leafless_derivation(self):
@@ -52,18 +58,18 @@ class TestDynamicEvaluation:
         g.attr_class("N", SYN, merge=lambda a, b: a + b, unit=7)
         g.nonterminal("s", "N")
         g.production("s_a", "s -> A")
-        out = g.finish().run([Token("A", "a")])
+        out = dynamic_run(g.finish(), [Token("A", "a")])
         assert out["N"] == 7
 
     def test_missing_root_inherited_raises(self, calc, lexer):
         # The expression must actually demand env — evaluation is lazy.
         with pytest.raises(EvaluationError) as info:
-            calc.run(lexer.scan("x + 1"))
+            dynamic_run(calc, lexer.scan("x + 1"))
         assert "env" in str(info.value)
 
     def test_rule_exception_wrapped_with_context(self, calc, lexer):
         with pytest.raises(EvaluationError) as info:
-            calc.run(lexer.scan("missing + 1"), inherited={"env": {}})
+            dynamic_run(calc, lexer.scan("missing + 1"), {"env": {}})
         assert "f_id" in str(info.value)
 
     def test_memoization_single_evaluation_per_instance(self, calc, lexer):
@@ -76,8 +82,76 @@ class TestDynamicEvaluation:
 
     def test_deep_tree_no_recursion_error(self, calc, lexer):
         text = "1" + " + 1" * 3000
-        out = calc.run(lexer.scan(text), inherited={"env": {}})
+        out = dynamic_run(calc, lexer.scan(text), {"env": {}})
         assert out["val"] == 3001
+
+
+class TestCompiledEvaluation:
+    """``CompiledAG.evaluate`` on an ordered grammar runs the generated
+    visit functions; results and error texts match the dynamic
+    evaluator's."""
+
+    def test_default_is_the_generated_program(self, calc, lexer):
+        program = calc.visit_program()
+        assert program is not None and calc.visit_program() is program
+        assert calc.run(lexer.scan("2 + 3 * (4 + 5)"),
+                        inherited={"env": {}})["val"] == 29
+
+    @pytest.mark.parametrize("text, inherited", [
+        ("x + 1", None),                   # root inherited never supplied
+        ("missing + 1", {"env": {}}),      # a rule raises KeyError
+        ("2 * (3 + x)", {"env": {"x": "s"}}),  # a rule raises TypeError
+    ])
+    def test_errors_match_dynamic(self, calc, lexer, text, inherited):
+        with pytest.raises(EvaluationError) as dyn:
+            dynamic_run(calc, lexer.scan(text), inherited)
+        with pytest.raises(EvaluationError) as stat:
+            calc.run(lexer.scan(text), inherited=inherited)
+        assert str(stat.value) == str(dyn.value)
+        assert "(line " in str(stat.value) or "not supplied" in str(
+            stat.value)
+
+    def test_failing_merge_function_matches_dynamic(self):
+        def merge(a, b):
+            raise ValueError("no merge")
+
+        g = AGSpec("m")
+        g.terminals("A")
+        g.attr_class("N", SYN, merge=merge, unit=1)
+        g.nonterminal("s", "N")
+        g.nonterminal("x", "N")
+        g.production("s_xx", "s -> x x")
+        g.production("x_a", "x -> A")
+        compiled = g.finish()
+        tokens = [Token("A", "a", line=4), Token("A", "a", line=5)]
+        with pytest.raises(EvaluationError) as dyn:
+            dynamic_run(compiled, tokens)
+        with pytest.raises(EvaluationError) as stat:
+            compiled.run(tokens)
+        assert str(stat.value) == str(dyn.value)
+        assert "ValueError: no merge" in str(stat.value)
+
+    def test_circularity_error_from_a_rule_passes_through(self):
+        def cyclic(level):
+            raise CircularityError("from a nested evaluation")
+
+        g = AGSpec("c")
+        g.terminals("A")
+        g.nonterminal("s", ("out", SYN))
+        p = g.production("s_a", "s -> A")
+        p.rule("s.out", "A.text", fn=cyclic)
+        with pytest.raises(CircularityError) as info:
+            g.finish().run([Token("A", "a")])
+        assert str(info.value) == "from a nested evaluation"
+
+    def test_unknown_goal_matches_dynamic(self, calc, lexer):
+        tokens = lexer.scan("1")
+        with pytest.raises(EvaluationError) as dyn:
+            DynamicEvaluator(calc, {"env": {}}).goal_attributes(
+                calc.parse(tokens), goals=["nope"])
+        with pytest.raises(EvaluationError) as stat:
+            calc.run(tokens, inherited={"env": {}}, goals=["nope"])
+        assert str(stat.value) == str(dyn.value)
 
 
 class TestCircularity:
@@ -167,7 +241,7 @@ class TestMultiVisitGrammar:
 
     def test_dynamic(self):
         compiled = self.make()
-        out = compiled.run([Token("A", "a")] * 4)
+        out = dynamic_run(compiled, [Token("A", "a")] * 4)
         assert out["out"] == [4, 4, 4, 4]
 
     def test_static(self):

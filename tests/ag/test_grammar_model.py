@@ -110,7 +110,8 @@ class TestThreeVisitGrammar:
     five to three' story."""
 
     def test_three_visits(self):
-        from repro.ag import INH, StaticEvaluator, SYN, Token
+        from repro.ag import (
+            DynamicEvaluator, INH, StaticEvaluator, SYN, Token)
 
         g = AGSpec("three_visit")
         g.terminals("A")
@@ -140,7 +141,8 @@ class TestThreeVisitGrammar:
         assert compiled.statistics().max_visits == 3
 
         tokens = [Token("A", "a")] * 3
-        dyn = compiled.run(tokens)
+        dyn = DynamicEvaluator(compiled).goal_attributes(
+            compiled.parse(tokens))
         tree = compiled.parse(tokens)
         stat = StaticEvaluator(compiled).goal_attributes(tree)
         assert dyn == stat

@@ -1,6 +1,7 @@
 """End-to-end CLI tests for the diagnostics and observability flags."""
 
 import json
+import re
 
 import pytest
 
@@ -117,6 +118,13 @@ class TestProfileFlags:
         assert "compile profile" in text
         assert "attribute_evaluation" in text
         assert "rule firing" in text  # AG observer summary
+
+    def test_compile_profile_counts_visits(self, tmp_path, collect):
+        g = _write(tmp_path, "ok.vhd", GOOD)
+        assert main(["--root", str(tmp_path / "libs"), "--profile",
+                     "compile", g], out=collect) == 0
+        match = re.search(r"visits: (\d+) across", "\n".join(collect.lines))
+        assert match and int(match.group(1)) > 0
 
     def test_werror_clean_compile_passes(self, tmp_path, collect):
         g = _write(tmp_path, "ok.vhd", GOOD)

@@ -1,10 +1,13 @@
 """AG observability: rule-firing counters, memo stats, cycle explanation."""
 
+from collections import Counter
+
 import pytest
 
 from repro.ag import (
     AGSpec,
     CircularityError,
+    DynamicEvaluator,
     INH,
     StaticEvaluator,
     SYN,
@@ -28,8 +31,8 @@ def lexer():
 class TestDynamicObserver:
     def test_counts_rule_firings(self, calc, lexer):
         obs = AGObserver()
-        out = calc.run(lexer.scan("2 + 3 * 4"), inherited={"env": {}},
-                       observer=obs)
+        out = DynamicEvaluator(calc, {"env": {}}, observer=obs) \
+            .goal_attributes(calc.parse(lexer.scan("2 + 3 * 4")))
         assert out["val"] == 14
         # each production fires once per instance per rule (the `val`
         # rule plus the implicit NODES merge rule both count)
@@ -40,8 +43,6 @@ class TestDynamicObserver:
         assert obs.grammar_firings["calc"] == obs.total_firings
 
     def test_memo_hits_on_repeated_demand(self, calc, lexer):
-        from repro.ag.evaluator import DynamicEvaluator
-
         obs = AGObserver()
         tree = calc.parse(lexer.scan("1 + 2"))
         evaluator = DynamicEvaluator(calc, {"env": {}}, observer=obs)
@@ -68,6 +69,27 @@ class TestStaticObserver:
         assert obs.total_firings > 0
         assert sum(obs.visits.values()) > 0
         assert "expr" in obs.visits
+
+    def test_batched_counts_are_exact(self, calc, lexer):
+        """Counts are folded in once per plan, yet every production's
+        firings equal its rules times its instances, and every node is
+        visited once per visit of its symbol."""
+        obs = AGObserver()
+        tree = calc.parse(lexer.scan("2 * (3 + x) - 4"))
+        calc.evaluate(tree, {"env": {"x": 1}}, observer=obs)
+        instances, visits, stack = Counter(), Counter(), [tree]
+        analysis = calc.analyze()
+        while stack:
+            node = stack.pop()
+            instances[node.production.label] += 1
+            visits[node.symbol.name] += analysis.visits[node.symbol.name]
+            stack.extend(node.child_trees())
+        expected = {label: n * len(calc.rules_of(
+            calc.grammar.production(label))) for label, n in
+            instances.items()}
+        assert dict(obs.rule_firings) == expected
+        assert dict(obs.visits) == dict(visits)
+        assert obs.grammar_firings["calc"] == sum(expected.values())
 
 
 class TestAggregation:

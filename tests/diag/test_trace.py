@@ -123,15 +123,21 @@ class TestTracer:
 
     def test_aggregation_safe_under_concurrent_append(self):
         """phase_seconds/summary snapshot under the lock; hammering
-        them while another thread appends must never raise."""
+        them while another thread appends must never raise.  The
+        writer stops after a fixed span count, so the reader's passes
+        (each linear in the spans so far) stay bounded however the
+        threads are scheduled."""
         import threading
 
         tracer = Tracer()
         stop = threading.Event()
         errors = []
+        max_spans = 5000
 
         def writer():
-            while not stop.is_set():
+            for _ in range(max_spans):
+                if stop.is_set():
+                    break
                 with tracer.phase("spin"):
                     pass
 
@@ -150,8 +156,10 @@ class TestTracer:
             reader()
         finally:
             stop.set()
-            t.join()
+            t.join(timeout=60)
+        assert not t.is_alive()
         assert errors == []
+        assert 0 < len(tracer.events) <= max_spans
 
 
 class TestMerging:

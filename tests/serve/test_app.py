@@ -89,6 +89,18 @@ class TestBasicRoutes:
         assert "serve_uptime_seconds" in text
         assert "serve_request_seconds" in text
 
+    def test_metrics_count_ag_work_after_compile(self, app):
+        (resp,) = run(app, mkreq("POST", "/compile", {
+            "session": "m", "files": [{"name": "blink.vhd",
+                                       "text": BLINK}]}))
+        assert body_of(resp)["ok"]
+        (resp,) = run(app, mkreq("GET", "/metrics"))
+        samples = dict(line.rsplit(" ", 1)
+                       for line in resp.body.decode().splitlines()
+                       if line.startswith("ag_"))
+        assert float(samples["ag_visits_total"]) > 0
+        assert float(samples["ag_rule_firings_total"]) > 0
+
 
 class TestSessions:
     def test_create_list_drop(self, app):

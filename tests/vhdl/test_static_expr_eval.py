@@ -1,15 +1,14 @@
 """Static (visit-sequence) evaluation of the real expression AG.
 
-The paper's evaluators were statically generated; ours defaults to the
-dynamic evaluator but the ordered-AG analysis must hold for the real
-grammars too.  These tests run the emitted visit sequences of the
-expression AG over genuine LEF parses and compare against the dynamic
-result — the strongest cross-check the toolkit offers.
+The paper's evaluators were statically generated, and so is ours: the
+compiler runs the expression AG's visit sequences compiled to Python.
+These tests run them over genuine LEF parses and compare against the
+dynamic (demand-driven) evaluator, the reference semantics.
 """
 
 import pytest
 
-from repro.ag import StaticEvaluator
+from repro.ag import DynamicEvaluator, StaticEvaluator
 from repro.ag.lexer import ListScanner
 from repro.vhdl import expr_sem
 from repro.vhdl.expr_grammar import expr_grammar
@@ -37,7 +36,8 @@ def both_ways(env, tokens, mode="M_EXPR", expected=None):
     inherited = {"ENV": env, "CTX": ctx}
     lef_tokens = [mode_token(mode)] + tokens
     dyn_tree = compiled.parse(ListScanner(lef_tokens))
-    dyn = compiled.evaluate(dyn_tree, inherited, goals=["GOAL"])["GOAL"]
+    dyn = DynamicEvaluator(compiled, inherited).goal_attributes(
+        dyn_tree, goals=["GOAL"])["GOAL"]
     stat_tree = compiled.parse(ListScanner(lef_tokens))
     stat = StaticEvaluator(compiled, inherited).goal_attributes(
         stat_tree, goals=["GOAL"])["GOAL"]
