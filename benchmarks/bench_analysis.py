@@ -22,7 +22,7 @@ from repro.analysis import (
     combinational_loops,
     levelize,
 )
-from repro.metrics.benchcheck import _ring_source
+from repro.metrics.benchcheck import ring_source
 from repro.vhdl.compiler import Compiler
 from repro.vhdl.elaborate import Elaborator
 
@@ -31,7 +31,7 @@ N_CELLS = 2000
 
 def elaborate_ring(cut=False):
     compiler = Compiler(strict=False)
-    result = compiler.compile(_ring_source(N_CELLS, cut=cut))
+    result = compiler.compile(ring_source(N_CELLS, cut=cut))
     assert result.ok, result.messages[:3]
     sim = Elaborator(compiler.library).elaborate("ring_top")
     return compiler.library, sim

@@ -19,7 +19,9 @@ pure scheduling.
 
 import time
 
-from repro.sim import CompiledKernel, Kernel, ScanKernel
+from repro.metrics.benchcheck import build_ring, ring_vhdl
+from repro.sim import Kernel, ScanKernel
+from repro.vhdl.elaborate import run_design
 
 NS = 10**6
 
@@ -33,42 +35,13 @@ WINDOW_FS = 200 * NS  # 200 timesteps (tokens hop once per ns)
 COMPILED_WINDOW_FS = 1000 * NS  # 1000 timesteps
 
 
-def build(kernel_cls, n=N_CELLS, tokens=N_TOKENS):
-    """The token-ring: each cell waits on its own signal and, when
-    woken, toggles its successor one nanosecond later."""
-    k = kernel_cls()
-    sigs = [k.signal("cell%d" % i, 0) for i in range(n)]
-    rt = k.rt
-
-    stride = n // tokens
-    starters = frozenset(j * stride for j in range(tokens))
-
-    def cell(i):
-        me = sigs[i]
-        nxt = sigs[(i + 1) % n]
-        starter = i in starters
-
-        def proc():
-            if starter:  # the initialization run launches the token
-                rt.assign(nxt, ((1 - rt.read(nxt), 1 * NS),))
-            while True:
-                yield rt.wait([me])
-                rt.assign(nxt, ((1 - rt.read(nxt), 1 * NS),))
-
-        return proc
-
-    for i in range(n):
-        k.process("cell%d" % i, cell(i), sensitivity=[sigs[i]])
-    return k
-
-
 def _timed_run(kernel_cls, repeats):
     """Best-of wall-clock for the run phase only (build+initialize
     excluded — they are identical for both schedulers)."""
     best = None
     kernel = None
     for _ in range(repeats):
-        k = build(kernel_cls)
+        k = build_ring(kernel_cls, N_CELLS, N_TOKENS)
         k.initialize()
         t0 = time.perf_counter()
         k.run(until=WINDOW_FS)
@@ -80,7 +53,7 @@ def _timed_run(kernel_cls, repeats):
 
 def test_kernel_scaling_sparse_activity(benchmark):
     def window():
-        k = build(Kernel)
+        k = build_ring(Kernel, N_CELLS, N_TOKENS)
         k.run(until=WINDOW_FS)
         return k
 
@@ -127,40 +100,13 @@ def test_kernel_scaling_sparse_activity(benchmark):
     assert speedup >= 5.0, "only %.1fx over the scan kernel" % speedup
 
 
-def _ring_vhdl(n=N_CELLS, tokens=N_TOKENS):
-    """The same token-ring as VHDL source.  ``tokens`` evenly spaced
-    starter cells use sensitivity-list processes (their
-    initialization run launches the token); the rest wait first."""
-    stride = n // tokens
-    starters = frozenset(j * stride for j in range(tokens))
-    lines = ["entity ring is", "end ring;", "",
-             "architecture rtl of ring is"]
-    for i in range(n):
-        lines.append("  signal c_%d : integer := 0;" % i)
-    lines.append("begin")
-    for i in range(n):
-        j = (i + 1) % n
-        if i in starters:
-            lines.append(
-                "  p_%d: process (c_%d) begin "
-                "c_%d <= 1 - c_%d after 1 ns; end process;"
-                % (i, i, j, j))
-        else:
-            lines.append(
-                "  p_%d: process begin wait on c_%d; "
-                "c_%d <= 1 - c_%d after 1 ns; end process;"
-                % (i, i, j, j))
-    lines.append("end rtl;")
-    return "\n".join(lines)
-
-
 def _compile_ring():
     from repro.vhdl.compiler import Compiler
     from repro.vhdl.library import LibraryManager
 
     library = LibraryManager(root=None)
     result = Compiler(library=library, strict=False).compile(
-        _ring_vhdl(), filename="ring.vhd")
+        ring_vhdl(N_CELLS, N_TOKENS), filename="ring.vhd")
     assert result.ok, result.messages
     return library
 
@@ -170,44 +116,29 @@ def test_compiled_backend_speedup(benchmark):
     compiled backend must run >= 3x faster than the activity kernel.
     Codegen (cold) is timed separately — the speedup gate compares
     steady-state run phases only, so warm-cache runs stay honest."""
-    from repro.vhdl.elaborate import Elaborator
+    from repro.sim.compiled import _PROGRAM_CACHE
 
     library = _compile_ring()
 
-    def specialize(kernel):
-        sim = Elaborator(library, kernel=kernel).elaborate("ring")
-        t0 = time.perf_counter()
-        kernel.compile_design(sim.records)
-        return time.perf_counter() - t0
-
-    def timed_run(kernel_cls, repeats, compiled=False):
+    def timed_run(backend, repeats):
         best = None
         kernel = None
-        codegen_s = 0.0
         for _ in range(repeats):
-            k = kernel_cls()
-            if compiled:
-                codegen_s = specialize(k)
-            else:
-                Elaborator(library, kernel=k).elaborate("ring")
-            k.initialize()
-            t0 = time.perf_counter()
-            k.run(until=COMPILED_WINDOW_FS)
-            dt = time.perf_counter() - t0
-            if best is None or dt < best:
-                best, kernel = dt, k
-        return best, kernel, codegen_s
+            run = run_design(library, "ring", backend=backend,
+                             until_fs=COMPILED_WINDOW_FS)
+            if best is None or run.run_s < best:
+                best, kernel = run.run_s, run.kernel
+        return best, kernel
 
-    # First specialization pays codegen cold; the cache makes the
-    # timing repeats warm, which is exactly what we want to measure.
-    from repro.sim.compiled import _PROGRAM_CACHE
+    # First specialization pays codegen cold (stopping at 0 fs runs
+    # only the initialization); the cache makes the timing repeats
+    # warm, which is exactly what we want to measure.
     _PROGRAM_CACHE.clear()
-    cold_kernel = CompiledKernel()
-    codegen_cold_s = specialize(cold_kernel)
+    codegen_cold_s = run_design(library, "ring", backend="compiled",
+                                until_fs=0).codegen["seconds"]
 
-    event_s, k_ev, _ = timed_run(Kernel, repeats=3)
-    comp_s, k_co, _ = timed_run(CompiledKernel, repeats=3,
-                                compiled=True)
+    event_s, k_ev = timed_run("event", repeats=3)
+    comp_s, k_co = timed_run("compiled", repeats=3)
 
     # Identical semantics: the speedup is pure dispatch + storage.
     assert k_ev.cycles == k_co.cycles
@@ -245,11 +176,8 @@ def test_compiled_backend_speedup(benchmark):
         # Warm window: the fingerprint cache hit makes
         # ``compile_design`` a bind, so this measures elaborate +
         # bind + run — the steady-state cost of a repeat simulation.
-        k = CompiledKernel()
-        sim = Elaborator(library, kernel=k).elaborate("ring")
-        k.compile_design(sim.records)
-        k.run(until=COMPILED_WINDOW_FS)
-        return k
+        return run_design(library, "ring", backend="compiled",
+                          until_fs=COMPILED_WINDOW_FS).kernel
 
     benchmark(window)
 
@@ -264,7 +192,7 @@ def test_cycle_cost_tracks_active_set(benchmark):
     set, not design size)."""
 
     def run_sized(n):
-        k = build(Kernel, n=n, tokens=N_TOKENS)
+        k = build_ring(Kernel, n, N_TOKENS)
         k.initialize()
         t0 = time.perf_counter()
         k.run(until=WINDOW_FS)
@@ -290,7 +218,7 @@ def test_cycle_cost_tracks_active_set(benchmark):
     benchmark.extra_info["cost_ratio_2x_design"] = round(ratio, 2)
 
     def window():
-        k = build(Kernel, n=2 * N_CELLS, tokens=N_TOKENS)
+        k = build_ring(Kernel, 2 * N_CELLS, N_TOKENS)
         k.run(until=WINDOW_FS)
         return k
 

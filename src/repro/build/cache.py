@@ -36,6 +36,30 @@ def _unit(text):
     return (lib, key)
 
 
+def open_library(root, work="work", reference_libs=(), read_only=False,
+                 compile_order=None):
+    """A :class:`~repro.vhdl.library.LibraryManager` over ``root`` in
+    the build's recorded compile order.
+
+    Disk loading is alphabetical, which puts ``body(pk)`` before
+    ``pk``; elaboration loads packages in compile order, and §3.3's
+    "latest compiled architecture" default reads it too, so every
+    reader of a built root opens it here.  A caller that already holds
+    the loaded manifest passes its ``compile_order`` to skip the
+    second read.
+    """
+    from ..vhdl.library import LibraryManager
+
+    lib = LibraryManager(root=root, work=work,
+                         reference_libs=tuple(reference_libs),
+                         read_only=read_only)
+    if compile_order is None and root is not None:
+        compile_order = BuildCache(root).load().compile_order
+    if compile_order:
+        lib.apply_compile_order(compile_order)
+    return lib
+
+
 class BuildCache:
     """Manifest mapping source files and units to their fingerprints,
     with hit/miss/invalidate accounting."""

@@ -17,7 +17,7 @@ import os
 
 from ..diag import Tracer
 from ..vhdl.lexer import scan
-from .cache import STATE_NAME, BuildCache
+from .cache import STATE_NAME, BuildCache, open_library
 from .fingerprint import interface_digest, raw_fingerprint, \
     tokens_fingerprint
 from .scheduler import Scheduler, file_batches, harvest_names
@@ -253,12 +253,8 @@ class IncrementalBuilder:
     def library(self):
         """A :class:`LibraryManager` over the built root, with the
         recorded deterministic compile order applied."""
-        from ..vhdl.library import LibraryManager
-
-        lib = LibraryManager(root=self.root, work=self.work,
-                             reference_libs=self.reference_libs)
-        lib.apply_compile_order(self.cache.compile_order)
-        return lib
+        return open_library(self.root, self.work, self.reference_libs,
+                            compile_order=self.cache.compile_order)
 
     # -- internals ---------------------------------------------------------
 

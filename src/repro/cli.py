@@ -39,17 +39,9 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 
-from .sim import TIME_UNITS
-
-
-def _parse_time(text):
-    """'200ns' / '1 us' / '5000' (fs) -> femtoseconds."""
-    text = text.strip().lower().replace(" ", "")
-    for unit, scale in sorted(TIME_UNITS, key=lambda u: -len(u[0])):
-        if text.endswith(unit):
-            return int(float(text[: -len(unit)]) * scale)
-    return int(text)
+from .sim import BACKENDS, parse_time
 
 
 def _make_parser():
@@ -209,7 +201,7 @@ def _make_parser():
                         "(combinational loops, unresolved drive "
                         "races) abort before the kernel runs")
     p.add_argument("--backend", default="event",
-                   choices=("event", "compiled", "scan"),
+                   choices=tuple(BACKENDS),
                    help="simulation backend: the activity kernel "
                         "(default), the per-design compiled backend, "
                         "or the O(design) reference scan")
@@ -325,10 +317,9 @@ def _make_parser():
 
 
 def _library(args):
-    from .vhdl.library import LibraryManager
+    from .build.cache import open_library
 
-    return LibraryManager(root=args.root, work=args.work,
-                          reference_libs=tuple(args.ref))
+    return open_library(args.root, args.work, args.ref)
 
 
 def _wants_metrics(args):
@@ -874,33 +865,19 @@ def cmd_list(args, out):
     return 0
 
 
-def cmd_simulate(args, out):
-    from contextlib import nullcontext
+class _Blocked(Exception):
+    """The ``--analyze`` pre-flight found blocking findings."""
 
-    from .sim import CompiledKernel, Kernel, ScanKernel
-    from .sim.tracing import Tracer, format_fs
-    from .vhdl.elaborate import Elaborator
+
+def cmd_simulate(args, out):
+    from .vhdl.elaborate import run_design
 
     registry = _registry_for(args)
     span_tracer = None
     if args.trace_out or args.profile:
-        from .diag.trace import Tracer as SpanTracer
+        from .diag.trace import Tracer
 
-        span_tracer = SpanTracer()
-
-    def _span(name, **spargs):
-        if span_tracer is None:
-            return nullcontext()
-        return span_tracer.phase(name, cat="cli", **spargs)
-
-    # Sampled kernel spans (every 100th timestep / resume) keep the
-    # trace readable on long runs while still exposing the §2.2-style
-    # where-did-the-time-go breakdown down to delta cycles.
-    backend = getattr(args, "backend", "event") or "event"
-    kernel_cls = {"event": Kernel, "compiled": CompiledKernel,
-                  "scan": ScanKernel}[backend]
-    kernel = kernel_cls(metrics=registry, trace=span_tracer,
-                        trace_sample=100)
+        span_tracer = Tracer()
     top = args.top
     compiler = None
     if top.endswith((".vhd", ".vhdl")) or os.path.isfile(top):
@@ -933,63 +910,53 @@ def cmd_simulate(args, out):
         top = entities[-1]
     else:
         library = _library(args)
-    with _span("sim", top=str(top)):
-        with _span("elaborate"):
-            elab = Elaborator(library, kernel=kernel)
-            sim = elab.elaborate(top, arch_name=args.arch)
-        graph = None
-        if args.analyze:
-            # Pre-flight: the whole-design analyzer sees the same
-            # elaborated hierarchy the kernel is about to run; an
-            # error-severity finding (combinational loop, unresolved
-            # drive race) would hang or abort the simulation anyway,
-            # so fail fast with the structured diagnostic instead.
-            from .analysis import LintEngine, build_netlist
-            from .diag import render as render_findings
 
-            with _span("analyze"):
-                graph = build_netlist(sim.records)
-                findings = LintEngine(
-                    library=library, work=args.work,
-                    metrics=registry).lint_design(graph)
-            if findings:
-                out(render_findings(findings, args.diag_format))
-            blocking = [d for d in findings
-                        if d.severity in ("error", "fatal")]
-            if blocking:
-                out("sim: analyze pre-flight found %d blocking "
-                    "finding(s); not starting the kernel"
-                    % len(blocking))
-                return 1
-        if backend == "compiled":
-            # Specialize before the first cycle; the --analyze
-            # pre-flight's DesignGraph (if any) is threaded through so
-            # the netlist is extracted exactly once.
-            with _span("codegen"):
-                kernel.compile_design(sim.records, graph=graph)
-            out("codegen: %d/%d process(es) compiled, %d slot "
-                "signal(s), %.1f ms"
-                % (kernel.compiled_procs, len(kernel.processes),
-                   kernel.slot_signals,
-                   kernel.codegen_seconds * 1e3))
-        tracer = None
-        if args.trace or args.vcd:
-            signals = []
-            for suffix in args.trace or ["*"]:
-                for path in sim.names.by_suffix(suffix):
-                    if sim.names.kind_of(path) == "signal":
-                        signals.append(sim.names.lookup(path))
-            tracer = Tracer(sim.kernel, signals or None)
-        until = _parse_time(args.until)
-        with _span("kernel_run"):
-            end = sim.run(until_fs=until)
-    out("simulation stopped at %s (%d cycles)"
-        % (format_fs(end), sim.kernel.cycles))
-    for path, sig in sim.names.signals():
-        out("  %-30s = %s" % (path, sig.image(sig.value)))
-    if tracer is not None and args.vcd:
+    def preflight(sim):
+        # The whole-design analyzer sees the same elaborated hierarchy
+        # the kernel is about to run; an error-severity finding
+        # (combinational loop, unresolved drive race) would hang or
+        # abort the simulation anyway, so fail fast with the
+        # structured diagnostic instead.  The DesignGraph goes on to
+        # the compiled backend, so the netlist is extracted once.
+        from .analysis import LintEngine, build_netlist
+        from .diag import render as render_findings
+
+        with (nullcontext() if span_tracer is None
+              else span_tracer.phase("analyze", cat="cli")):
+            graph = build_netlist(sim.records)
+            findings = LintEngine(
+                library=library, work=args.work,
+                metrics=registry).lint_design(graph)
+        if findings:
+            out(render_findings(findings, args.diag_format))
+        blocking = [d for d in findings
+                    if d.severity in ("error", "fatal")]
+        if blocking:
+            raise _Blocked(len(blocking))
+        return graph
+
+    try:
+        run = run_design(
+            library, top, arch=args.arch, backend=args.backend,
+            until_fs=parse_time(args.until), metrics=registry,
+            trace=span_tracer,
+            record=args.trace if args.trace or args.vcd else None,
+            preflight=preflight if args.analyze else None)
+    except _Blocked as exc:
+        out("sim: analyze pre-flight found %d blocking finding(s); "
+            "not starting the kernel" % exc.args[0])
+        return 1
+    kernel = run.kernel
+    if run.codegen is not None:
+        out("codegen: %d/%d process(es) compiled, %d slot "
+            "signal(s), %.1f ms"
+            % (kernel.compiled_procs, len(kernel.processes),
+               kernel.slot_signals, kernel.codegen_seconds * 1e3))
+    for line in run.report_lines:
+        out(line)
+    if args.vcd:
         with open(args.vcd, "w") as f:
-            f.write(tracer.vcd())
+            f.write(run.vcd())
         out("VCD written to %s" % args.vcd)
     if _wants_metrics(args):
         from .metrics.bridge import (

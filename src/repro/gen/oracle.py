@@ -38,13 +38,12 @@ import traceback
 
 from ..metrics import MetricsRegistry
 from ..metrics.bridge import bridge_kernel
-from ..sim.compiled import CompiledKernel
-from ..sim.kernel import Kernel, ScanKernel, SimulationError
+from ..sim import BACKENDS
+from ..sim.kernel import SimulationError
 from ..sim.runtime import RuntimeError_
-from ..sim.tracing import Tracer
 from ..sim.vhdlio import AssertionFailure
 from ..vhdl.compiler import CompileError, Compiler
-from ..vhdl.elaborate import ElaborationError, Elaborator
+from ..vhdl.elaborate import ElaborationError, Elaborator, run_design
 from ..vhdl.library import LibraryManager
 
 OUTCOMES = ("ok", "rejected", "sim_error", "divergence", "crash")
@@ -169,13 +168,10 @@ def check_source(source, top, until_ns=1000, filename="<gen>",
 
     # -- differential simulation ---------------------------------------
     until_fs = until_ns * NS
-    legs = [("Kernel", _simulate(Kernel, library, top, until_fs)),
-            ("ScanKernel",
-             _simulate(ScanKernel, library, top, until_fs))]
-    if compiled:
-        legs.append(("CompiledKernel",
-                     _simulate(CompiledKernel, library, top, until_fs,
-                               compile_design=True)))
+    backends = ("event", "scan") + (("compiled",) if compiled else ())
+    legs = [(BACKENDS[backend].__name__,
+             _simulate(backend, library, top, until_fs))
+            for backend in backends]
 
     for _name, side in legs:
         if side.get("crash"):
@@ -224,7 +220,7 @@ def _analyze(library, top):
     from ..analysis import LintEngine, build_netlist
 
     try:
-        sim = Elaborator(library, kernel=Kernel()).elaborate(top)
+        sim = Elaborator(library).elaborate(top)
     except _SIM_ERRORS:
         return []
     except Exception:
@@ -242,29 +238,24 @@ def _first_line(messages):
     return messages[0].splitlines()[0] if messages else ""
 
 
-def _simulate(kernel_cls, library, top, until_fs,
-              compile_design=False):
+def _simulate(backend, library, top, until_fs):
     """One side of the differential run; returns an observation dict.
 
     ``crash`` — raw traceback (harness failure).  ``error`` — a
     recognized dynamic error as ``(type_name, message)``.  Otherwise
-    the full observable state.  With ``compile_design`` the kernel is
-    specialized from the elaborated records before the first cycle
-    (the compiled backend's extra step).
+    the full observable state.
     """
     registry = MetricsRegistry()
-    kernel = kernel_cls(metrics=registry)
     try:
-        sim = Elaborator(library, kernel=kernel).elaborate(top)
-        if compile_design:
-            kernel.compile_design(sim.records)
-        tracer = Tracer(kernel)
-        sim.run(until_fs=until_fs, max_cycles=MAX_CYCLES)
+        run = run_design(library, top, backend=backend,
+                         until_fs=until_fs, max_cycles=MAX_CYCLES,
+                         metrics=registry, record=())
     except _SIM_ERRORS as exc:
         return {"error": (type(exc).__name__, str(exc))}
     except Exception:
         return {"crash": "%s simulate raised:\n%s"
-                % (kernel_cls.__name__, traceback.format_exc())}
+                % (BACKENDS[backend].__name__, traceback.format_exc())}
+    kernel = run.kernel
     bridge_kernel(registry, kernel)
     snapshot = registry.snapshot()["metrics"]
     return {
@@ -278,7 +269,7 @@ def _simulate(kernel_cls, library, top, until_fs,
         "transactions": [s.transactions for s in kernel.signals],
         "resumes": [p.resumes for p in kernel.processes],
         "reports": list(kernel.logger.records),
-        "vcd": tracer.vcd(),
+        "vcd": run.vcd(),
         "metrics": {name: snapshot[name]["samples"]
                     for name in _METRIC_FAMILIES
                     if name in snapshot},

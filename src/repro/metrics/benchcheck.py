@@ -115,25 +115,41 @@ _SIM_SOURCE = """
 _SIM_UNTIL_FS = 1000 * 10**6  # 1 us: 200 clock edges
 
 
-def scenario_simulation():
-    """Compile a small pipeline once, run the kernel, measure."""
-    from ..sim import Kernel
+def _compile(source, what, filename="<input>"):
+    """A fresh in-memory library holding ``source``."""
     from ..vhdl.compiler import Compiler
-    from ..vhdl.elaborate import Elaborator
 
     compiler = Compiler(strict=False)
-    result = compiler.compile(_SIM_SOURCE)
+    result = compiler.compile(source, filename=filename)
     if not result.ok:
-        raise RuntimeError("bench-check design failed to compile: %s"
-                           % result.messages[:3])
+        raise RuntimeError("bench-check %s failed to compile: %s"
+                           % (what, result.messages[:3]))
+    return compiler.library
+
+
+def _unlabeled(registry):
+    """The snapshot's unlabeled aggregate families only: the labeled
+    per-signal / per-process / per-rule series are thousands of
+    samples wide on the ring workloads, and the gate reads only
+    ``values``, so this keeps committed baselines reviewable."""
+    return {
+        name: fam
+        for name, fam in registry.snapshot()["metrics"].items()
+        if not any(s.get("labels") for s in fam["samples"])
+    }
+
+
+def scenario_simulation():
+    """Compile a small pipeline once, run the kernel, measure."""
+    from ..vhdl.elaborate import run_design
+
+    library = _compile(_SIM_SOURCE, "design")
 
     def measure():
         registry = MetricsRegistry()
-        kernel = Kernel(metrics=registry)
-        sim = Elaborator(compiler.library,
-                         kernel=kernel).elaborate("gate_top")
-        sim.run(until_fs=_SIM_UNTIL_FS)
-        return registry, kernel
+        run = run_design(library, "gate_top",
+                         until_fs=_SIM_UNTIL_FS, metrics=registry)
+        return registry, run.kernel
 
     ratio, best, calib, (registry, kernel) = normalized_cost(measure)
     from .bridge import bridge_kernel
@@ -298,18 +314,12 @@ def scenario_lint():
     then measure a full-library lint pass.  Finding counts are
     deterministic (``exact``); the pass cost is normalized."""
     from ..analysis import LintEngine
-    from ..vhdl.compiler import Compiler
 
-    compiler = Compiler(strict=False)
-    result = compiler.compile(_SIM_SOURCE + _LINT_DEFECTS)
-    if not result.ok:
-        raise RuntimeError("bench-check lint design failed to "
-                           "compile: %s" % result.messages[:3])
+    library = _compile(_SIM_SOURCE + _LINT_DEFECTS, "lint design")
 
     def measure():
         registry = MetricsRegistry()
-        engine = LintEngine(library=compiler.library,
-                            metrics=registry)
+        engine = LintEngine(library=library, metrics=registry)
         return registry, engine.lint_library()
 
     ratio, best, calib, (registry, findings) = normalized_cost(
@@ -317,7 +327,7 @@ def scenario_lint():
     by_rule = {}
     for diag in findings:
         by_rule[diag.code] = by_rule.get(diag.code, 0) + 1
-    units = len(compiler.library._units)
+    units = len(library._units)
     values = {
         "units_checked": units,
         "findings_total": len(findings),
@@ -344,10 +354,13 @@ _RING_TOKENS = 15  # 1% of cells active per timestep
 _RING_WINDOW_FS = 150 * 10**6  # 150 timesteps
 
 
-def _build_ring(kernel_cls, n=_RING_CELLS, tokens=_RING_TOKENS):
-    """The sparse-activity token ring (the compact twin of
+def build_ring(kernel_cls, n, tokens):
+    """The sparse-activity token ring (also run by
     ``benchmarks/bench_kernel_scaling.py``): ``tokens`` tokens circle
-    ``n`` cells, waking exactly ``tokens`` processes per timestep."""
+    ``n`` cells, waking exactly ``tokens`` processes per timestep.
+    Each cell waits on its own signal and, when woken, toggles its
+    successor one nanosecond later; a starter cell's initialization
+    run launches its token."""
     k = kernel_cls()
     sigs = [k.signal("cell%d" % i, 0) for i in range(n)]
     rt = k.rt
@@ -373,7 +386,7 @@ def _build_ring(kernel_cls, n=_RING_CELLS, tokens=_RING_TOKENS):
     return k
 
 
-def _ring_vhdl(n, tokens):
+def ring_vhdl(n, tokens):
     """The token ring as VHDL source (the compiled backend
     specializes elaborated designs, so its axes need real source):
     ``tokens`` evenly spaced starter cells use sensitivity-list
@@ -402,15 +415,7 @@ def _ring_vhdl(n, tokens):
 
 
 def _compile_vhdl_ring(n, tokens):
-    from ..vhdl.compiler import Compiler
-
-    compiler = Compiler(strict=False)
-    result = compiler.compile(_ring_vhdl(n, tokens),
-                              filename="ring.vhd")
-    if not result.ok:
-        raise RuntimeError("bench-check ring failed to compile: %s"
-                           % result.messages[:3])
-    return compiler.library
+    return _compile(ring_vhdl(n, tokens), "ring", filename="ring.vhd")
 
 
 #: Window for the compiled-backend axis of ``kernel_scaling`` — long
@@ -429,15 +434,15 @@ def scenario_kernel_scaling():
     counters (``exact``) and a ``min``-gated speedup, with cold
     codegen reported separately in ``timings`` so the amortized
     compile time cannot flatter the ratio."""
-    from ..sim import CompiledKernel, Kernel, ScanKernel
+    from ..sim import Kernel, ScanKernel
     from ..sim.compiled import _PROGRAM_CACHE
-    from ..vhdl.elaborate import Elaborator
+    from ..vhdl.elaborate import run_design
 
     def run_only(kernel_cls, repeats):
         best = None
         kernel = None
         for _ in range(repeats):
-            k = _build_ring(kernel_cls)
+            k = build_ring(kernel_cls, _RING_CELLS, _RING_TOKENS)
             k.initialize()
             t0 = time.perf_counter()
             k.run(until=_RING_WINDOW_FS)
@@ -454,7 +459,7 @@ def scenario_kernel_scaling():
             "calendar and scan kernels diverged on the ring workload")
 
     def measure():
-        k = _build_ring(Kernel)
+        k = build_ring(Kernel, _RING_CELLS, _RING_TOKENS)
         k.run(until=_RING_WINDOW_FS)
         return k
 
@@ -463,30 +468,22 @@ def scenario_kernel_scaling():
     # -- the backend axis: event vs compiled on the VHDL ring --------
     library = _compile_vhdl_ring(_RING_CELLS, _RING_TOKENS)
 
-    def vhdl_run(kernel_cls, repeats, compiled=False):
+    def vhdl_run(backend, repeats):
         best_dt = None
         best_k = None
         codegen_s = 0.0
         for _ in range(repeats):
-            k = kernel_cls()
-            sim = Elaborator(library, kernel=k).elaborate("ring")
-            if compiled:
-                t0 = time.perf_counter()
-                k.compile_design(sim.records)
-                codegen_s = max(codegen_s,
-                                time.perf_counter() - t0)
-            k.initialize()
-            t0 = time.perf_counter()
-            k.run(until=_RING_COMPILED_WINDOW_FS)
-            dt = time.perf_counter() - t0
-            if best_dt is None or dt < best_dt:
-                best_dt, best_k = dt, k
+            run = run_design(library, "ring", backend=backend,
+                             until_fs=_RING_COMPILED_WINDOW_FS)
+            if run.codegen is not None:
+                codegen_s = max(codegen_s, run.codegen["seconds"])
+            if best_dt is None or run.run_s < best_dt:
+                best_dt, best_k = run.run_s, run.kernel
         return best_dt, best_k, codegen_s
 
     _PROGRAM_CACHE.clear()  # the first repeat pays codegen cold
-    event_s, k_ev, _ = vhdl_run(Kernel, repeats=3)
-    comp_s, k_co, codegen_cold_s = vhdl_run(
-        CompiledKernel, repeats=3, compiled=True)
+    event_s, k_ev, _ = vhdl_run("event", repeats=3)
+    comp_s, k_co, codegen_cold_s = vhdl_run("compiled", repeats=3)
     if (k_ev.cycles, k_ev.delta_cycles) != \
             (k_co.cycles, k_co.delta_cycles) \
             or [s.value for s in k_ev.signals] != \
@@ -538,17 +535,9 @@ def scenario_kernel_scaling():
                "codegen_cold_s": round(codegen_cold_s, 6),
                "event_vhdl_s": round(event_s, 6),
                "compiled_s": round(comp_s, 6)}
-    # The per-signal / per-process labeled series are _RING_CELLS wide
-    # here (1500 samples each); the gate only reads ``values``, so the
-    # embedded snapshot keeps just the unlabeled aggregate families to
-    # stay a reviewable committed baseline.
-    metrics = {
-        name: fam
-        for name, fam in registry.snapshot()["metrics"].items()
-        if not any(s.get("labels") for s in fam["samples"])
-    }
     return envelope("bench", bench="kernel_scaling", values=values,
-                    checks=checks, timings=timings, metrics=metrics)
+                    checks=checks, timings=timings,
+                    metrics=_unlabeled(registry))
 
 
 _COMPILED_CELLS = 400
@@ -562,18 +551,16 @@ def scenario_compiled_codegen():
     The normalized cost pins the whole cold flow (``max``); structure
     counters are ``exact`` — every process must compile and every
     signal must get slot storage, or the specializer regressed."""
-    from ..sim import CompiledKernel
     from ..sim.compiled import _PROGRAM_CACHE
-    from ..vhdl.elaborate import Elaborator
+    from ..vhdl.elaborate import run_design
 
     library = _compile_vhdl_ring(_COMPILED_CELLS, _COMPILED_TOKENS)
 
     def measure():
         _PROGRAM_CACHE.clear()
-        kernel = CompiledKernel()
-        sim = Elaborator(library, kernel=kernel).elaborate("ring")
-        kernel.compile_design(sim.records)
-        return kernel
+        # Stopping at 0 fs runs only the initialization.
+        return run_design(library, "ring", backend="compiled",
+                          until_fs=0).kernel
 
     ratio, best, calib, kernel = normalized_cost(measure, repeats=3)
     values = {
@@ -605,19 +592,15 @@ def scenario_compiled_warm():
     ``programs_cached`` staying at 1 across repeats proves the design
     fingerprint is stable (a drifting fingerprint would grow the
     cache and silently re-pay codegen)."""
-    from ..sim import CompiledKernel
     from ..sim.compiled import _PROGRAM_CACHE
-    from ..vhdl.elaborate import Elaborator
+    from ..vhdl.elaborate import run_design
 
     library = _compile_vhdl_ring(_COMPILED_CELLS, _COMPILED_TOKENS)
     _PROGRAM_CACHE.clear()
 
     def measure():
-        kernel = CompiledKernel()
-        sim = Elaborator(library, kernel=kernel).elaborate("ring")
-        kernel.compile_design(sim.records)
-        kernel.run(until=_COMPILED_WINDOW_FS)
-        return kernel
+        return run_design(library, "ring", backend="compiled",
+                          until_fs=_COMPILED_WINDOW_FS).kernel
 
     measure()  # prime the cache: every timed repeat binds warm
     ratio, best, calib, kernel = normalized_cost(measure, repeats=3)
@@ -644,19 +627,15 @@ def scenario_compiled_warm():
     timings = {"warm_s": round(best, 6),
                "bind_s": round(kernel.codegen_seconds, 6),
                "calibration_s": round(calib, 6)}
-    metrics = {
-        name: fam
-        for name, fam in registry.snapshot()["metrics"].items()
-        if not any(s.get("labels") for s in fam["samples"])
-    }
     return envelope("bench", bench="compiled_warm", values=values,
-                    checks=checks, timings=timings, metrics=metrics)
+                    checks=checks, timings=timings,
+                    metrics=_unlabeled(registry))
 
 
 _ANALYSIS_CELLS = 2000
 
 
-def _ring_source(n=_ANALYSIS_CELLS, cut=False):
+def ring_source(n, cut=False):
     """A ``n``-cell combinational inverter ring as VHDL source.
 
     ``cut`` drops the wrap-around assignment, turning the one giant
@@ -685,27 +664,19 @@ def scenario_analysis():
         combinational_loops,
         levelize,
     )
-    from ..vhdl.compiler import Compiler
     from ..vhdl.elaborate import Elaborator
 
-    ring = Compiler(strict=False)
-    result = ring.compile(_ring_source())
-    if not result.ok:
-        raise RuntimeError("bench-check analysis ring failed to "
-                           "compile: %s" % result.messages[:3])
-    chain = Compiler(strict=False)
-    result = chain.compile(_ring_source(cut=True))
-    if not result.ok:
-        raise RuntimeError("bench-check analysis chain failed to "
-                           "compile: %s" % result.messages[:3])
-    ring_sim = Elaborator(ring.library).elaborate("ring_top")
-    chain_sim = Elaborator(chain.library).elaborate("ring_top")
+    ring = _compile(ring_source(_ANALYSIS_CELLS), "analysis ring")
+    chain = _compile(ring_source(_ANALYSIS_CELLS, cut=True),
+                     "analysis chain")
+    ring_sim = Elaborator(ring).elaborate("ring_top")
+    chain_sim = Elaborator(chain).elaborate("ring_top")
 
     def measure():
         registry = MetricsRegistry()
         graph = build_netlist(ring_sim.records)
         loops = combinational_loops(graph)
-        findings = LintEngine(library=ring.library,
+        findings = LintEngine(library=ring,
                               metrics=registry).lint_design(graph)
         chain_graph = build_netlist(chain_sim.records)
         levels, order, cyclic = levelize(chain_graph)
@@ -735,15 +706,9 @@ def scenario_analysis():
     checks["normalized_cost"] = "max"
     timings = {"run_s": round(best, 6),
                "calibration_s": round(calib, 6)}
-    # Keep only unlabeled aggregates: lint_findings_total carries a
-    # 2000-sample per-rule series here.
-    metrics = {
-        name: fam
-        for name, fam in registry.snapshot()["metrics"].items()
-        if not any(s.get("labels") for s in fam["samples"])
-    }
     return envelope("bench", bench="analysis", values=values,
-                    checks=checks, timings=timings, metrics=metrics)
+                    checks=checks, timings=timings,
+                    metrics=_unlabeled(registry))
 
 
 _SERVE_SESSIONS = 3
@@ -909,23 +874,15 @@ def scenario_trace():
     function of the design — ``exact`` — and the traced cost is
     pinned loosely (``max``, tracing is allowed to cost something)."""
     from ..diag.trace import Tracer
-    from ..sim import Kernel
     from ..trace.context import SpanContext, use
-    from ..vhdl.compiler import Compiler
-    from ..vhdl.elaborate import Elaborator
+    from ..vhdl.elaborate import run_design
 
-    compiler = Compiler(strict=False)
-    result = compiler.compile(_SIM_SOURCE)
-    if not result.ok:
-        raise RuntimeError("bench-check design failed to compile: %s"
-                           % result.messages[:3])
+    library = _compile(_SIM_SOURCE, "design")
 
     def run(trace=None):
-        kernel = Kernel(trace=trace, trace_sample=1)
-        sim = Elaborator(compiler.library,
-                         kernel=kernel).elaborate("gate_top")
-        sim.run(until_fs=_SIM_UNTIL_FS)
-        return kernel
+        return run_design(library, "gate_top",
+                          until_fs=_SIM_UNTIL_FS, trace=trace,
+                          trace_sample=1).kernel
 
     ratio_off, best_off, calib, kernel_off = normalized_cost(run)
 

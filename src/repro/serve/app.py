@@ -54,6 +54,7 @@ from ..build.pool import warm_grammar
 from ..diag import Diagnostic, render_jsonl
 from ..metrics import MetricsRegistry
 from ..metrics.registry import SECONDS_BUCKETS
+from ..sim import BACKENDS, parse_time
 from ..trace import SpanContext, SpanRing, make_span, use
 from .http import (
     HTTPError,
@@ -299,15 +300,13 @@ class ServeApp:
                             "name) is required")
         until = body.get("until", "1us")
         try:
-            from ..cli import _parse_time
-
-            until_fs = _parse_time(str(until))
+            until_fs = parse_time(str(until))
         except (ValueError, IndexError):
             raise HTTPError(400, "bad 'until' value %r" % (until,))
         backend = body.get("backend", "event")
-        if backend not in ("event", "compiled", "scan"):
-            raise HTTPError(400, "bad 'backend' value %r (one of: "
-                            "event, compiled, scan)" % (backend,))
+        if not isinstance(backend, str) or backend not in BACKENDS:
+            raise HTTPError(400, "bad 'backend' value %r (one of: %s)"
+                            % (backend, ", ".join(BACKENDS)))
         ws = self._workspace(body)
         result = await self.jobs.simulate(
             ws, top, arch=body.get("arch"), until_fs=until_fs,

@@ -22,7 +22,6 @@ the same records ``--diag-format json`` prints), and queue/run timing.
 import asyncio
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 
 from ..diag import Diagnostic, render_jsonl
 from ..metrics import NULL_REGISTRY
@@ -30,21 +29,6 @@ from ..trace.context import current_context, make_span, use
 
 #: How long a compile job waits for batch-mates before running.
 BATCH_WINDOW_S = 0.01
-
-#: Sampling stride for kernel spans in traced ``/sim`` jobs: record
-#: every Nth timestep / process resume, so a million-cycle run adds
-#: bounded span volume to the ring.
-SIM_TRACE_SAMPLE = 100
-
-
-@contextmanager
-def _maybe_phase(tracer, name, **args):
-    """``tracer.phase(...)`` when tracing, a no-op otherwise."""
-    if tracer is None:
-        yield None
-    else:
-        with tracer.phase(name, **args) as event:
-            yield event
 
 
 class JobError(Exception):
@@ -58,17 +42,6 @@ class JobError(Exception):
     def __init__(self, message, diagnostics=()):
         super().__init__(message)
         self.diagnostics = list(diagnostics)
-
-
-def _sim_lines(kernel, names, end_fs):
-    """The exact report lines the ``repro simulate`` CLI prints."""
-    from ..sim.tracing import format_fs
-
-    lines = ["simulation stopped at %s (%d cycles)"
-             % (format_fs(end_fs), kernel.cycles)]
-    for path, sig in names.signals():
-        lines.append("  %-30s = %s" % (path, sig.image(sig.value)))
-    return lines
 
 
 class _CompileJob:
@@ -92,12 +65,10 @@ class JobRunner:
     """Executes jobs on a worker pool with per-session batching."""
 
     def __init__(self, workers=2, metrics=NULL_REGISTRY,
-                 batch_window=BATCH_WINDOW_S, trace=None,
-                 sim_trace_sample=SIM_TRACE_SAMPLE):
+                 batch_window=BATCH_WINDOW_S, trace=None):
         self.workers = max(1, int(workers or 1))
         self.batch_window = batch_window
         self.trace = trace  # repro.trace.SpanRing (or None)
-        self.sim_trace_sample = sim_trace_sample
         self.executor = ThreadPoolExecutor(
             max_workers=max(2, self.workers),
             thread_name_prefix="repro-serve")
@@ -312,8 +283,7 @@ class JobRunner:
                        lib=None, backend="event"):
         """Elaborate + run against a pinned snapshot of the session
         library; concurrent with other readers and with writers.
-        ``backend`` selects the kernel: ``event`` (default),
-        ``compiled`` (per-design specialized code), or ``scan``."""
+        ``backend`` is a key of :data:`repro.sim.BACKENDS`."""
         loop = asyncio.get_running_loop()
         job_id = self.next_id()
         ctx = current_context()
@@ -337,9 +307,8 @@ class JobRunner:
 
     def _run_sim(self, workspace, top, arch, until_fs, lib, ctx=None,
                  backend="event"):
-        from ..sim import CompiledKernel, Kernel, ScanKernel, \
-            SimulationError
-        from ..vhdl.elaborate import ElaborationError, Elaborator
+        from ..sim import SimulationError
+        from ..vhdl.elaborate import ElaborationError, run_design
 
         snapshot = workspace.snapshot()
         tracer = None
@@ -347,27 +316,14 @@ class JobRunner:
             from ..diag.trace import Tracer
 
             tracer = Tracer()
-        # A traced kernel samples timestep / process-resume spans; the
-        # ambient context during ``run()`` (the kernel_run phase) is
-        # what they parent into.
-        kernel_cls = {"event": Kernel, "compiled": CompiledKernel,
-                      "scan": ScanKernel}[backend]
-        kernel = kernel_cls(trace=tracer,
-                            trace_sample=self.sim_trace_sample)
         try:
-            with use(ctx), _maybe_phase(tracer, "sim", cat="serve",
-                                        top=top):
-                with _maybe_phase(tracer, "elaborate", cat="serve"):
-                    elab = Elaborator(snapshot, kernel=kernel)
-                    sim = elab.elaborate(top, arch_name=arch, lib=lib)
-                if backend == "compiled":
-                    with _maybe_phase(tracer, "codegen", cat="serve"):
-                        kernel.compile_design(sim.records)
-                with _maybe_phase(tracer, "kernel_run", cat="serve"):
-                    end = sim.run(until_fs=until_fs)
+            # A traced kernel samples timestep / process-resume spans;
+            # the ambient context is what the ``sim`` phase parents to.
+            with use(ctx):
+                run = run_design(snapshot, top, arch=arch, lib=lib,
+                                 backend=backend, until_fs=until_fs,
+                                 trace=tracer)
         except (ElaborationError, SimulationError) as exc:
-            if tracer is not None:
-                self.trace.add_events(tracer.events)
             return {
                 "ok": False,
                 "error": "%s: %s" % (type(exc).__name__, exc),
@@ -375,31 +331,28 @@ class JobRunner:
                 "diagnostics_jsonl": render_jsonl(
                     snapshot.quarantine_diagnostics()),
             }
-        if tracer is not None:
-            self.trace.add_events(tracer.events)
-        lines = _sim_lines(kernel, sim.names, end)
+        finally:
+            if tracer is not None:
+                self.trace.add_events(tracer.events)
+        kernel = run.kernel
         result = {
             "ok": True,
             "top": top,
             "backend": backend,
-            "end_fs": end,
+            "end_fs": run.end_fs,
             "cycles": kernel.cycles,
             "delta_cycles": kernel.delta_cycles,
             "signals": [
                 [path, sig.image(sig.value)]
-                for path, sig in sim.names.signals()
+                for path, sig in run.simulation.names.signals()
             ],
-            "report_lines": lines,
+            "report_lines": run.report_lines,
             "library_version": snapshot.version,
             "diagnostics_jsonl": render_jsonl(
                 snapshot.quarantine_diagnostics()),
         }
-        if backend == "compiled":
-            result["codegen"] = {
-                "seconds": round(kernel.codegen_seconds, 6),
-                "compiled_procs": kernel.compiled_procs,
-                "slot_signals": kernel.slot_signals,
-            }
+        if run.codegen is not None:
+            result["codegen"] = run.codegen
         return result
 
     # -- lint --------------------------------------------------------------

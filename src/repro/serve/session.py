@@ -21,8 +21,7 @@ import os
 import re
 import shutil
 
-from ..build.cache import BuildCache
-from ..vhdl.library import LibraryManager
+from ..build.cache import open_library
 
 _SESSION_ID = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 _SOURCE_NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,127}$")
@@ -106,13 +105,8 @@ class Workspace:
         the recorded deterministic compile order applied."""
         lib = self._library
         if lib is None:
-            lib = LibraryManager(
-                root=self.root, work="work",
-                reference_libs=self.reference_libs, read_only=True)
-            cache = BuildCache(self.root).load()
-            if cache.compile_order:
-                lib.apply_compile_order(cache.compile_order)
-            self._library = lib
+            lib = self._library = open_library(
+                self.root, "work", self.reference_libs, read_only=True)
         return lib
 
     def snapshot(self):

@@ -28,8 +28,10 @@ from .compiled import CompiledKernel
 from .signals import Signal
 from .runtime import VArray, VRecord, ops
 from .nameserver import NameServer
+from .vhdlio import format_time as format_fs
 
 __all__ = [
+    "BACKENDS",
     "CompiledKernel",
     "Kernel",
     "NameServer",
@@ -38,8 +40,18 @@ __all__ = [
     "SimulationError",
     "VArray",
     "VRecord",
+    "format_fs",
     "ops",
+    "parse_time",
 ]
+
+#: The simulation backends by name: the activity kernel (the default),
+#: the per-design compiled backend (specialized by
+#: ``compile_design`` before the first cycle) and the O(design)
+#: reference scan.  ``repro simulate --backend``, serve's ``/sim`` and
+#: :func:`repro.vhdl.elaborate.run_design` all read this one table.
+BACKENDS = {"event": Kernel, "compiled": CompiledKernel,
+            "scan": ScanKernel}
 
 #: femtoseconds per time unit, primary unit first — the runtime's
 #: representation of type TIME.
@@ -53,3 +65,12 @@ TIME_UNITS = (
     ("min", 60 * 10**15),
     ("hr", 3600 * 10**15),
 )
+
+
+def parse_time(text):
+    """'200ns' / '1 us' / '5000' (fs) -> femtoseconds."""
+    text = text.strip().lower().replace(" ", "")
+    for unit, scale in sorted(TIME_UNITS, key=lambda u: -len(u[0])):
+        if text.endswith(unit):
+            return int(float(text[: -len(unit)]) * scale)
+    return int(text)

@@ -562,7 +562,7 @@ class CompiledKernel(Kernel):
         self.truncated_transactions += pending
         self._m_truncated.set(self.truncated_transactions)
         from .kernel import _KERNEL_ORIGIN
-        from .tracing import format_fs
+        from . import format_fs
 
         self.logger.report(
             "note",

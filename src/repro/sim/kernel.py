@@ -89,7 +89,7 @@ class Kernel:
         self.cycles = 0  # executed simulation cycles (bench metric)
         self.delta_cycles = 0  # cycles that did not advance time
         self.truncated_transactions = 0  # abandoned by run(until=...)
-        self.tracers = []  # repro.sim.tracing.Tracer instances
+        self.tracers = []  # repro.sim.tracing.WaveRecorder instances
         # -- the event calendar -------------------------------------
         self._calendar = []  # heap of (time, seq, kind, payload)
         self._seq = 0  # entry tie-breaker; also total pushes
@@ -455,7 +455,7 @@ class Kernel:
             return
         self.truncated_transactions += pending
         self._m_truncated.set(self.truncated_transactions)
-        from .tracing import format_fs
+        from . import format_fs
 
         self.logger.report(
             "note",

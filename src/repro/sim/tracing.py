@@ -2,17 +2,15 @@
 
 The paper's compiler fed the VantageSpreadsheet(TM) behavioral
 simulation environment — an interactive tool over simulation results.
-:class:`Tracer` records every event on selected signals and can render
-an ASCII waveform or export a VCD (Value Change Dump) file that any
-wave viewer opens.
+:class:`WaveRecorder` records every event on selected signals and can
+render an ASCII waveform or export a VCD (Value Change Dump) file that
+any wave viewer opens.
 """
 
 from .runtime import VArray
 
-from . import TIME_UNITS
 
-
-class Tracer:
+class WaveRecorder:
     """Records (time, value) changes of a set of signals."""
 
     __slots__ = ("kernel", "signals", "history", "_watch")
@@ -145,9 +143,3 @@ def _vcd_value(value, code):
         return "b%s %s" % (format(value & (2**32 - 1), "b"), code)
     return "b0 %s" % code
 
-
-def format_fs(fs):
-    for unit, scale in reversed(TIME_UNITS):
-        if fs and fs % scale == 0:
-            return "%d %s" % (fs // scale, unit)
-    return "%d fs" % fs

@@ -13,10 +13,19 @@ resolution order:
    library, and **the latest compiled architecture for that entity** —
    the usage-history-dependent default the paper calls out as making
    descriptions non-deterministic.
+
+:func:`run_design` is the one path from a compiled library to a
+running kernel: ``repro simulate``, serve's ``/sim``, the fuzz oracle
+and the bench-check scenarios all call it.
 """
 
-from ..sim import Kernel, NameServer
+import time
+from contextlib import nullcontext
+
+from ..metrics import NULL_REGISTRY
+from ..sim import BACKENDS, CompiledKernel, Kernel, NameServer, format_fs
 from ..sim.nameserver import SEPARATOR
+from ..sim.tracing import WaveRecorder
 from .codegen.pymodel import load_model
 from .symtab import entry_kind
 
@@ -329,3 +338,96 @@ class Simulation:
     @property
     def now(self):
         return self.kernel.now
+
+
+#: Kernel-span sampling stride of a traced run: every Nth timestep and
+#: process resume becomes a span, so a long run adds bounded volume to
+#: the trace while still exposing the delta-cycle breakdown.
+TRACE_SAMPLE = 100
+
+
+def _no_phase(name, **args):
+    return nullcontext()
+
+
+def run_design(library, top, *, arch=None, lib=None, backend="event",
+               until_fs=None, max_cycles=None, metrics=NULL_REGISTRY,
+               trace=None, trace_sample=TRACE_SAMPLE, record=None,
+               preflight=None):
+    """Elaborate ``top`` and simulate it on ``BACKENDS[backend]``.
+
+    ``trace`` (a :class:`repro.diag.trace.Tracer`) records the
+    ``sim`` phase with its ``elaborate``, ``codegen`` and
+    ``kernel_run`` children, and samples kernel spans every
+    ``trace_sample``-th step.  ``record`` attaches a
+    :class:`~repro.sim.tracing.WaveRecorder` before the first cycle
+    to the signals whose names end in one of its suffixes (all
+    signals when none match, so ``()`` records everything).
+    ``preflight(simulation)`` runs between elaboration and codegen; it
+    may return the :class:`~repro.analysis.netlist.DesignGraph` it
+    built, which the compiled backend then reuses instead of
+    extracting the netlist again, and it stops the run by raising.
+    """
+    kernel = BACKENDS[backend](metrics=metrics, trace=trace,
+                               trace_sample=trace_sample)
+    phase = _no_phase if trace is None else trace.phase
+    with phase("sim", cat="sim", top=str(top)):
+        with phase("elaborate", cat="sim"):
+            sim = Elaborator(library, kernel=kernel).elaborate(
+                top, arch_name=arch, lib=lib)
+        graph = preflight(sim) if preflight is not None else None
+        if isinstance(kernel, CompiledKernel):
+            with phase("codegen", cat="sim"):
+                kernel.compile_design(sim.records, graph=graph)
+        recorder = None
+        if record is not None:
+            names = sim.names
+            signals = [names.lookup(path) for suffix in record
+                       for path in names.by_suffix(suffix)
+                       if names.kind_of(path) == "signal"]
+            recorder = WaveRecorder(kernel, signals or None)
+        with phase("kernel_run", cat="sim"):
+            # ``run_s`` times the simulation cycles alone; the
+            # initialization run of every process happens first.
+            kernel.initialize()
+            t0 = time.perf_counter()
+            end = sim.run(until_fs=until_fs, max_cycles=max_cycles)
+            run_s = time.perf_counter() - t0
+    return DesignRun(sim, end, recorder, run_s)
+
+
+class DesignRun:
+    """The outcome of :func:`run_design`: the finished
+    :class:`Simulation`, its kernel, the stop time and the wall-clock
+    seconds of its simulation cycles, plus the report and waveform
+    every caller prints."""
+
+    def __init__(self, simulation, end_fs, recorder, run_s):
+        self.simulation = simulation
+        self.kernel = simulation.kernel
+        self.end_fs = end_fs
+        self.recorder = recorder
+        self.run_s = run_s
+
+    @property
+    def report_lines(self):
+        """The report ``repro simulate`` prints and ``/sim`` returns."""
+        lines = ["simulation stopped at %s (%d cycles)"
+                 % (format_fs(self.end_fs), self.kernel.cycles)]
+        for path, sig in self.simulation.names.signals():
+            lines.append("  %-30s = %s" % (path, sig.image(sig.value)))
+        return lines
+
+    @property
+    def codegen(self):
+        """The compiled backend's specialization stats, else None."""
+        kernel = self.kernel
+        if not isinstance(kernel, CompiledKernel):
+            return None
+        return {"seconds": round(kernel.codegen_seconds, 6),
+                "compiled_procs": kernel.compiled_procs,
+                "slot_signals": kernel.slot_signals}
+
+    def vcd(self):
+        """The recorded waveform as a VCD document."""
+        return self.recorder.vcd()

@@ -3,7 +3,6 @@
 from repro.diag import Diagnostic
 from repro.gen import check_source, generate_for, check_design
 from repro.gen.oracle import _compare, _simulate, NS
-from repro.sim.kernel import Kernel, ScanKernel
 
 
 GOOD = """
@@ -118,8 +117,8 @@ class TestSides:
 
         library = LibraryManager(root=None)
         Compiler(library=library, strict=False).compile(GOOD)
-        cal = _simulate(Kernel, library, "t", 100 * NS)
-        scan = _simulate(ScanKernel, library, "t", 100 * NS)
+        cal = _simulate("event", library, "t", 100 * NS)
+        scan = _simulate("scan", library, "t", 100 * NS)
         assert cal["error"] is None
         assert cal["cycles"] > 0
         assert cal["vcd"].startswith("$date")
@@ -131,8 +130,8 @@ class TestSides:
 
         library = LibraryManager(root=None)
         Compiler(library=library, strict=False).compile(GOOD)
-        cal = _simulate(Kernel, library, "t", 100 * NS)
-        scan = dict(_simulate(ScanKernel, library, "t", 100 * NS))
+        cal = _simulate("event", library, "t", 100 * NS)
+        scan = dict(_simulate("scan", library, "t", 100 * NS))
         scan["cycles"] += 1
         mismatch = _compare(cal, scan)
         assert mismatch is not None and mismatch.startswith("cycles")
@@ -143,7 +142,7 @@ class TestSides:
 
         library = LibraryManager(root=None)
         Compiler(library=library, strict=False).compile(GOOD)
-        cal = _simulate(Kernel, library, "t", 100 * NS)
+        cal = _simulate("event", library, "t", 100 * NS)
         assert "sim_cycles_total" in cal["metrics"]
         assert "sim_signal_events_total" in cal["metrics"]
 

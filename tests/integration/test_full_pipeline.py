@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from repro.sim.tracing import Tracer
+from repro.sim.tracing import WaveRecorder
 from repro.vhdl.compiler import Compiler
 from repro.vhdl.elaborate import Elaborator
 from repro.vhdl.library import LibraryManager
@@ -99,7 +99,7 @@ class TestPipeline:
         compiler, _ = compiled
         sim = Elaborator(compiler.library).elaborate("harness")
         y = sim.signal("y")
-        tracer = Tracer(sim.kernel, [y])
+        tracer = WaveRecorder(sim.kernel, [y])
         sim.run(until_fs=30 * NS)
         values = [v for _, v in tracer.changes(y)]
         assert values == [0, 42, -2, 78]

@@ -53,13 +53,13 @@ class TestShiftRegisterSerializer:
         assert sim.value("sreg").elems == [0] * 8
 
     def test_line_history(self):
-        from repro.sim.tracing import Tracer
+        from repro.sim.tracing import WaveRecorder
 
         compiler = Compiler(strict=False)
         compiler.compile(self.SOURCE)
         sim = Elaborator(compiler.library).elaborate("serializer")
         line = sim.signal("line_out")
-        tracer = Tracer(sim.kernel, [line])
+        tracer = WaveRecorder(sim.kernel, [line])
         sim.run(until_fs=200 * NS)
         # Changes of line_out trace the bit pattern 10110001 msb-first
         # (only *changes* are recorded).

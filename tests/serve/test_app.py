@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.serve.app import ServeApp
+from repro.sim import BACKENDS
 from repro.serve.http import PROMETHEUS_CONTENT_TYPE, Request
 
 ENTITY = "entity e%d is end e%d;\n"
@@ -252,6 +253,9 @@ class TestSimRoute:
                                  {"top": "x",
                                   "backend": "turbo"}))
         assert resp.status == 400
+        # The message names exactly the backend table's keys.
+        listed = body_of(resp)["error"].rpartition("(one of: ")[2]
+        assert listed.rstrip(")").split(", ") == list(BACKENDS)
 
 
 class TestLintRoute:

@@ -16,6 +16,7 @@ import pytest
 
 from repro.cli import main
 from repro.serve import BackgroundServer
+from repro.sim import BACKENDS
 
 COUNTER = """
 entity counter%(n)d is end counter%(n)d;
@@ -98,7 +99,8 @@ class TestServerBasics:
 class TestDifferentialVsCLI:
     """Served results must be byte-identical to the one-shot CLI."""
 
-    def test_sim_report_matches_cli(self, server, tmp_path):
+    @pytest.mark.parametrize("backend", list(BACKENDS))
+    def test_sim_report_matches_cli(self, server, tmp_path, backend):
         # One-shot CLI: compile + simulate into a scratch root.
         src = tmp_path / "blink.vhd"
         src.write_text(BLINK)
@@ -111,18 +113,26 @@ class TestDifferentialVsCLI:
         assert main(["--root", root, "build", str(src)],
                     out=lambda *_: None) == 0
         assert main(["--root", root, "simulate", "blink",
-                     "--until", "95ns"], out=out) == 0
+                     "--until", "95ns", "--backend", backend],
+                    out=out) == 0
+        if backend == "compiled":
+            # The codegen stats line carries a wall-clock time; the
+            # service returns those stats as the "codegen" field.
+            assert cli_lines.pop(0).startswith("codegen: ")
 
         # Same design through the service.
+        session = "diff-%s" % backend
         status, data = request_json(
             server.port, "POST", "/compile",
-            {"session": "diff",
+            {"session": session,
              "files": [{"name": "blink.vhd", "text": BLINK}]})
         assert status == 200 and data["ok"] is True
         status, data = request_json(
             server.port, "POST", "/sim",
-            {"session": "diff", "top": "blink", "until": "95ns"})
+            {"session": session, "top": "blink", "until": "95ns",
+             "backend": backend})
         assert status == 200 and data["ok"] is True
+        assert data["backend"] == backend
         assert data["report_lines"] == cli_lines
 
     def test_compile_units_match_cli_build(self, server, tmp_path):

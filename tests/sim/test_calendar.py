@@ -24,7 +24,7 @@ from repro.metrics.bridge import (
     format_calendar_stats,
 )
 from repro.sim import Kernel, ScanKernel
-from repro.sim.tracing import Tracer
+from repro.sim.tracing import WaveRecorder
 
 NS = 10**6
 
@@ -387,7 +387,7 @@ class TestDifferentialEquivalence:
         results = {}
         for cls in (Kernel, ScanKernel):
             k = _mixed_workload(cls)
-            tracer = Tracer(k)
+            tracer = WaveRecorder(k)
             end = k.run(until=200 * NS)
             results[cls] = (k, tracer, end)
         cal, cal_tr, cal_end = results[Kernel]

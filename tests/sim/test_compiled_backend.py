@@ -70,9 +70,8 @@ class TestObservableIdentity:
             "full_hierarchy_config_spec"]
         library = compile_lib(entry.source, entry.path)
         until_fs = entry.until_ns * 10**6
-        event = _simulate(Kernel, library, entry.top, until_fs)
-        compiled = _simulate(CompiledKernel, library, entry.top,
-                             until_fs, compile_design=True)
+        event = _simulate("event", library, entry.top, until_fs)
+        compiled = _simulate("compiled", library, entry.top, until_fs)
         assert event.get("error") is None
         assert compiled.get("error") is None
         return event, compiled

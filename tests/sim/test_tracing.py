@@ -1,7 +1,7 @@
 """Tests for waveform tracing and VCD export."""
 
-from repro.sim import Kernel, VArray
-from repro.sim.tracing import Tracer, format_fs
+from repro.sim import Kernel, VArray, format_fs
+from repro.sim.tracing import WaveRecorder
 
 NS = 10**6
 
@@ -23,14 +23,14 @@ def staircase_kernel():
 class TestTracer:
     def test_records_changes(self):
         k, s = staircase_kernel()
-        tracer = Tracer(k, [s])
+        tracer = WaveRecorder(k, [s])
         k.run()
         assert tracer.changes(s) == [
             (0, 0), (10 * NS, 1), (20 * NS, 2), (30 * NS, 3)]
 
     def test_value_at(self):
         k, s = staircase_kernel()
-        tracer = Tracer(k, [s])
+        tracer = WaveRecorder(k, [s])
         k.run()
         assert tracer.value_at(s, 0) == 0
         assert tracer.value_at(s, 15 * NS) == 1
@@ -46,13 +46,13 @@ class TestTracer:
             yield rt.wait([], None, None)
 
         k.process("p", proc)
-        tracer = Tracer(k, [s])
+        tracer = WaveRecorder(k, [s])
         k.run()
         assert tracer.changes(s) == [(0, 5)]
 
     def test_ascii_wave(self):
         k, s = staircase_kernel()
-        tracer = Tracer(k, [s])
+        tracer = WaveRecorder(k, [s])
         k.run()
         text = tracer.ascii_wave(30 * NS, 10 * NS, image=str)
         assert "time(fs)" in text
@@ -63,14 +63,14 @@ class TestTracer:
     def test_default_traces_all_signals(self):
         k, s = staircase_kernel()
         k.signal("other", 9)
-        tracer = Tracer(k)
+        tracer = WaveRecorder(k)
         assert len(tracer.signals) == 2
 
 
 class TestVCD:
     def test_vcd_structure(self):
         k, s = staircase_kernel()
-        tracer = Tracer(k, [s])
+        tracer = WaveRecorder(k, [s])
         k.run()
         vcd = tracer.vcd()
         assert "$timescale 1 fs $end" in vcd
@@ -89,7 +89,7 @@ class TestVCD:
             yield rt.wait([], None, None)
 
         k.process("p", proc)
-        tracer = Tracer(k, [s])
+        tracer = WaveRecorder(k, [s])
         k.run()
         vcd = tracer.vcd()
         assert "$var wire 4" in vcd
@@ -115,7 +115,7 @@ class TestVCD:
             yield rt.wait([], None, None)
 
         k.process("p", proc)
-        tracer = Tracer(k, [s, t])
+        tracer = WaveRecorder(k, [s, t])
         k.run()
         vcd = tracer.vcd()
         var_lines = [l for l in vcd.splitlines()

@@ -4,7 +4,8 @@ import os
 
 import pytest
 
-from repro.cli import _parse_time, main
+from repro.cli import main
+from repro.sim import parse_time
 
 
 @pytest.fixture()
@@ -44,13 +45,13 @@ def project(tmp_path):
 
 class TestParseTime:
     def test_units(self):
-        assert _parse_time("10ns") == 10 * 10**6
-        assert _parse_time("1 us") == 10**9
-        assert _parse_time("2ms") == 2 * 10**12
-        assert _parse_time("5000") == 5000
+        assert parse_time("10ns") == 10 * 10**6
+        assert parse_time("1 us") == 10**9
+        assert parse_time("2ms") == 2 * 10**12
+        assert parse_time("5000") == 5000
 
     def test_fractional(self):
-        assert _parse_time("1.5ns") == 1_500_000
+        assert parse_time("1.5ns") == 1_500_000
 
 
 class TestCompileCommand:
@@ -116,6 +117,51 @@ class TestSimulateCommand:
                    for line in collect.lines)
         with open(vcd) as f:
             assert "$enddefinitions" in f.read()
+
+    def test_simulate_after_build_keeps_package_order(self, tmp_path,
+                                                      collect):
+        # Disk loading is alphabetical, so body(pk) sorts before pk;
+        # simulate must open the built root in its recorded compile
+        # order or the body's reference to pk's constant is unbound.
+        pk = tmp_path / "pk.vhd"
+        pk.write_text(PK)
+        top = tmp_path / "top.vhd"
+        top.write_text(PK_TOP)
+        root = str(tmp_path / "libs")
+        assert main(["--root", root, "build", str(pk), str(top)],
+                    out=lambda *_: None) == 0
+        rc = main(["--root", root, "simulate", "top", "--until", "50ns"],
+                  out=collect)
+        assert rc == 0
+        assert "  %-30s = 18" % ":top:s" in collect.lines
+
+
+PK = """
+package pk is
+  constant k : integer := 3;
+  function f(x : integer) return integer;
+end pk;
+package body pk is
+  function f(x : integer) return integer is
+  begin
+    return x + k;
+  end f;
+end pk;
+"""
+
+PK_TOP = """
+use work.pk.all;
+entity top is end top;
+architecture rtl of top is
+  signal s : integer := 0;
+begin
+  p : process
+  begin
+    s <= f(s);
+    wait for 10 ns;
+  end process;
+end rtl;
+"""
 
 
 class TestStats:
