@@ -41,11 +41,17 @@ class CircularityError(AGError):
     The paper (§5.2) notes that a change in one production can combine
     with a far-removed dependency to produce a circularity; the error
     message therefore includes the cycle found.
+
+    ``owners``, when the evaluator found the cycle in a tree, parallels
+    ``cycle``: the node whose production defines each instance (the
+    instance's own node for a synthesized attribute, its parent for an
+    inherited one, None for a root inherited attribute).
     """
 
-    def __init__(self, message, cycle=None):
+    def __init__(self, message, cycle=None, owners=None):
         super().__init__(message)
         self.cycle = cycle or []
+        self.owners = owners or []
 
 
 class NotOrderedError(AGError):

@@ -12,6 +12,12 @@ reference semantics the compiled evaluator is tested against.
 The implementation is iterative — VHDL statement lists produce trees
 whose depth is proportional to source length, so recursion is not an
 option.
+
+Parse trees carry no parent links (they stay acyclic so reference
+counting frees them), so the evaluator keeps its own ``child ->
+(owner, occurrence index)`` map, filled as demand descends from the
+root passed to :meth:`DynamicEvaluator.goal_attributes`.  A node
+missing from the map is the root.
 """
 
 from .attributes import SYN
@@ -27,13 +33,20 @@ class DynamicEvaluator:
         self.attr_table = compiled.attr_table
         self.inherited = dict(inherited or {})
         self.evaluations = 0  # rule applications, for the E4 bench
+        #: child node -> (owner node, occurrence index in the owner's
+        #: production), for every node demand has reached
+        self._parents = {}
         #: optional :class:`repro.diag.AGObserver` counter sink
         self.observer = observer
 
     # -- public API -----------------------------------------------------------
 
     def attribute(self, node, name):
-        """Value of attribute ``name`` on (the LHS instance of) ``node``."""
+        """Value of attribute ``name`` on (the LHS instance of) ``node``.
+
+        ``node`` is the root or a node an earlier demand reached from
+        it: any other node is taken for a root.
+        """
         if name in node.attrs:
             if self.observer is not None:
                 self.observer.record_hit()
@@ -62,10 +75,11 @@ class DynamicEvaluator:
             owner = node
             key = (0, name)
         else:
-            owner = node.parent
-            if owner is None:
+            link = self._parents.get(node)
+            if link is None:
                 return None, None  # root inherited: supplied externally
-            key = (node.child_index, name)
+            owner, pos = link
+            key = (pos, name)
         rule = self.compiled.rules_of(owner.production).get(key)
         if rule is None:
             raise EvaluationError(
@@ -90,6 +104,8 @@ class DynamicEvaluator:
             return True, getattr(inst, occ.attr)
         if occ.attr in inst.attrs:
             return True, inst.attrs[occ.attr]
+        if occ.pos:
+            self._parents[inst] = (owner, occ.pos)
         return False, (inst, occ.attr)
 
     def _force(self, node, name):
@@ -131,6 +147,8 @@ class DynamicEvaluator:
                 inst = first_missing
                 if inst in on_stack:
                     cycle = _extract_cycle(stack, inst)
+                    owners = [self._locate_rule(n, a)[1]
+                              for n, a in cycle]
                     raise CircularityError(
                         "circular attribute dependency at %s.%s "
                         "(line %d): %s"
@@ -144,6 +162,7 @@ class DynamicEvaluator:
                             ),
                         ),
                         cycle=cycle,
+                        owners=owners,
                     )
                 on_stack.add(inst)
                 stack.append(inst)

@@ -6,6 +6,13 @@ terminals — because semantic rules may reference token values
 evaluation", §4.1).  Attribute storage lives on the nodes themselves;
 the evaluators in :mod:`repro.ag.evaluator` and
 :mod:`repro.ag.static_eval` fill it in.
+
+Trees are acyclic: a node points to its children only, never back to
+its parent.  A tree (and the tens of thousands of cascaded LEF
+re-parse trees a compile builds) is therefore freed by reference
+counting the moment it is dropped, without waiting for a full run of
+the cyclic garbage collector.  Evaluators that need a node's parent
+record it themselves while descending from the root.
 """
 
 from ..errors import ParseError
@@ -19,29 +26,16 @@ class ParseTree:
     ``children`` holds one entry per RHS occurrence — a nested
     :class:`ParseTree` for nonterminals or a
     :class:`~repro.ag.lexer.Token` for terminals.  ``attrs`` maps
-    attribute names to computed values; ``parent``/``child_index`` wire
-    the tree for inherited-attribute evaluation.
+    attribute names to computed values.  There is no parent link (see
+    the module docstring).
     """
 
-    __slots__ = (
-        "production",
-        "children",
-        "attrs",
-        "parent",
-        "child_index",
-        "line",
-    )
+    __slots__ = ("production", "children", "attrs", "line")
 
     def __init__(self, production, children, line=0):
         self.production = production
         self.children = children
         self.attrs = {}
-        self.parent = None
-        self.child_index = 0
-        for i, child in enumerate(children):
-            if isinstance(child, ParseTree):
-                child.parent = self
-                child.child_index = i + 1  # occurrence index (0 is LHS)
         self.line = line
 
     @property

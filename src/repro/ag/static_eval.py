@@ -161,7 +161,7 @@ class VisitProgram:
         except CircularityError:
             raise
         except Exception as exc:
-            error = self._translate(exc)
+            error = self._translate(exc, tree)
             if error is exc:
                 raise
             raise error from exc
@@ -209,9 +209,10 @@ class VisitProgram:
 
     # -- diagnostics ----------------------------------------------------------
 
-    def _translate(self, exc):
+    def _translate(self, exc, tree):
         """The dynamic evaluator's error for ``exc``, raised in a
-        generated frame; ``exc`` itself when it came from elsewhere."""
+        generated frame while evaluating ``tree``; ``exc`` itself when
+        it came from elsewhere."""
         tb = exc.__traceback__
         while tb is not None and tb.tb_frame.f_code.co_filename \
                 != self.filename:
@@ -229,7 +230,7 @@ class VisitProgram:
             inst = node if occ.pos == 0 else node.children[occ.pos - 1]
             if occ.attr not in inst.attrs:
                 # The read failed, not the rule: nothing stored it.
-                if inst.parent is None and self.compiled.attr_table.get(
+                if inst is tree and self.compiled.attr_table.get(
                         inst.symbol, occ.attr).kind == INH:
                     return _root_inherited_error(occ.attr)
                 return EvaluationError(

@@ -18,6 +18,17 @@ the paper's §3.4 discusses:
   directly visible names, and conflicting potential non-overloadable
   homographs hide each other — unless the conflict was avoided by
   importing individual names, which simply yields fewer bindings here.
+
+Binding is O(1).  A lookup needs only the bindings of one name, and
+most lookups of a compile miss (probes such as user operator
+overloads), so walking the whole spine each time is what a lookup must
+not do.  Some spine nodes carry a memoized ``name -> bindings
+(innermost first)`` index.  A lookup scans at most ``_SCAN`` nodes down
+to the nearest indexed one and finishes with one probe of its index;
+when that node is further away, the lookup builds the index on its own
+node, from the nearest indexed node plus the bindings in between.
+Indexing only every few nodes, not every looked-up one, keeps the
+indexes' memory small: one is a dict over every visible name.
 """
 
 
@@ -82,7 +93,7 @@ _SCOPE = 1
 
 
 class _EnvNode:
-    __slots__ = ("kind", "binding", "tail", "depth")
+    __slots__ = ("kind", "binding", "tail", "depth", "index")
 
     def __init__(self, kind, binding, tail):
         self.kind = kind
@@ -92,6 +103,44 @@ class _EnvNode:
             self.depth = 1 if kind == _SCOPE else 0
         else:
             self.depth = tail.depth + (1 if kind == _SCOPE else 0)
+        #: name -> tuple of bindings, innermost first (see _index)
+        self.index = None
+
+
+#: Spine nodes a lookup scans above the nearest indexed node before it
+#: indexes the node it started from instead.
+_SCAN = 8
+
+
+def _named(node, name):
+    """The bindings of ``name`` visible from ``node``, innermost first."""
+    found = []
+    cur = node
+    for _ in range(_SCAN):
+        if cur is None:
+            return found
+        if cur.index is not None:
+            found.extend(cur.index.get(name, ()))
+            return found
+        if cur.kind == _BIND and cur.binding.name == name:
+            found.append(cur.binding)
+        cur = cur.tail
+    return _index(node).get(name, ())
+
+
+def _index(node):
+    """Memoize on ``node`` the name index of the spine starting there."""
+    newer = []
+    base = node
+    while base is not None and base.index is None:
+        if base.kind == _BIND:
+            newer.append(base.binding)
+        base = base.tail
+    index = {} if base is None else dict(base.index)
+    for b in reversed(newer):
+        index[b.name] = (b,) + index.get(b.name, ())
+    node.index = index
+    return index
 
 
 class Env:
@@ -149,25 +198,21 @@ class Env:
         direct = []
         potential = []
         stop_direct = False
-        node = self._node
-        while node is not None:
-            if node.kind == _BIND and node.binding.name == name:
-                b = node.binding
-                if b.via_use:
-                    potential.append(b)
-                elif not stop_direct:
-                    if b.overloadable:
-                        direct.append(b)
-                    elif not direct:
-                        # First (innermost) match is non-overloadable:
-                        # it alone is visible.
-                        return LookupResult(name, [b.entry])
-                    else:
-                        # Overloadables already found hide this outer
-                        # non-overloadable homograph — and nothing
-                        # further out can be directly visible.
-                        stop_direct = True
-            node = node.tail
+        for b in _named(self._node, name):
+            if b.via_use:
+                potential.append(b)
+            elif not stop_direct:
+                if b.overloadable:
+                    direct.append(b)
+                elif not direct:
+                    # First (innermost) match is non-overloadable:
+                    # it alone is visible.
+                    return LookupResult(name, [b.entry])
+                else:
+                    # Overloadables already found hide this outer
+                    # non-overloadable homograph — and nothing
+                    # further out can be directly visible.
+                    stop_direct = True
         if direct:
             # Overloadable direct bindings coexist with *overloadable*
             # potential ones: an enum literal imported by USE is not a

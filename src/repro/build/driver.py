@@ -48,6 +48,9 @@ class BuildReport:
         self.trace_events = []
         #: merged AG-evaluation counters across all compiled files
         self.ag_stats = {}
+        #: merged cyclic-collector runs and seconds per generation
+        #: across all compiled files (:class:`repro.diag.GCWatch`)
+        self.gc_stats = {}
         #: repro.diag.Diagnostic lint findings (``build(lint=...)``)
         self.lint_findings = []
 
@@ -218,11 +221,13 @@ class IncrementalBuilder:
                         report.reasons[path] = reason
                 with tracer.phase("batch", index=batch_no,
                                   files=len(to_compile)):
-                    results = scheduler.run_batch(to_compile)
+                    results = scheduler.run_batch(to_compile, texts)
                 for result in results:
                     tracer.add_events(result.get("trace", ()))
                     _merge_ag_stats(report.ag_stats,
                                     result.get("ag_stats", {}))
+                    _merge_counts(report.gc_stats,
+                                  result.get("gc_stats", {}))
                     self._absorb(result, fingerprints, requires,
                                  new_digests, failed, report)
         finally:
@@ -392,15 +397,21 @@ class IncrementalBuilder:
             return None
 
 
-def _merge_ag_stats(into, stats):
-    """Fold one worker's AGObserver dict into the report aggregate."""
+def _merge_counts(into, stats):
+    """Sum one worker's counters (numbers, or dicts of numbers) into
+    the report aggregate ``into``."""
     for key, value in (stats or {}).items():
         if isinstance(value, dict):
             bucket = into.setdefault(key, {})
             for k, v in value.items():
                 bucket[k] = bucket.get(k, 0) + v
-        elif isinstance(value, (int, float)) and key != "hit_rate":
+        elif isinstance(value, (int, float)):
             into[key] = into.get(key, 0) + value
+
+
+def _merge_ag_stats(into, stats):
+    """Fold one worker's AGObserver dict into the report aggregate."""
+    _merge_counts(into, stats)
     hits = into.get("cache_hits", 0)
     misses = into.get("cache_misses", 0)
     into["hit_rate"] = hits / (hits + misses) if hits + misses else 0.0

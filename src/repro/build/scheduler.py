@@ -22,6 +22,7 @@ latest-architecture default stays reproducible.
 
 import os
 
+from ..diag import GCWatch
 from .fingerprint import interface_digest
 from .pool import ForkPool, fork_available
 
@@ -128,16 +129,27 @@ def file_batches(paths, deps):
     return batches
 
 
-def compile_file_task(root, work, reference_libs, path):
-    """Compile one source file against the on-disk library root.
+def compile_file_task(root, work, reference_libs, path, text):
+    """Compile ``text``, the source of ``path`` as the driver read and
+    fingerprinted it, against the on-disk library root.  (Re-reading
+    the file here would let an edit made since the fingerprint land in
+    the library under the old fingerprint.)
 
     Runs in a worker process (or inline for a serial build) and
     returns only picklable primitives: produced units with their
     ``depends`` edges and interface digests, diagnostics (both legacy
     strings and structured dicts), phase-trace events (carrying this
     worker's pid, so the driver's merged Chrome trace shows one row
-    per worker), and timings.
+    per worker), timings, AG counters and the cyclic collector's runs
+    and seconds per generation (``gc_stats``).
     """
+    with GCWatch() as watch:
+        result = _compile_file(root, work, reference_libs, path, text)
+    result["gc_stats"] = watch.as_dict()
+    return result
+
+
+def _compile_file(root, work, reference_libs, path, text):
     from ..vhdl.compiler import CompileError, Compiler
     from ..vhdl.library import LibraryManager
 
@@ -152,7 +164,7 @@ def compile_file_task(root, work, reference_libs, path):
         # driver's tree across the process boundary.
         with compiler.tracer.phase("compile_file", cat="build",
                                    file=os.path.basename(path)):
-            result = compiler.compile_file(path)
+            result = compiler.compile(text, filename=path)
     except (CompileError, OSError) as exc:
         messages = getattr(exc, "messages", None) or [str(exc)]
         diagnostics = [
@@ -199,7 +211,7 @@ def _fork_available():
 
 def _worker_failure(args, exc):
     """Substitute result for a crashed build worker: report, go on."""
-    path = args[-1]
+    path = args[3]
     return {
         "path": path,
         "ok": False,
@@ -210,6 +222,7 @@ def _worker_failure(args, exc):
         "diagnostics": [],
         "trace": [],
         "ag_stats": {},
+        "gc_stats": {},
     }
 
 
@@ -235,11 +248,12 @@ class Scheduler:
     def parallel(self):
         return self.pool.parallel
 
-    def run_batch(self, paths):
-        """Compile ``paths`` (one batch); results in input order."""
+    def run_batch(self, paths, texts):
+        """Compile ``paths`` (one batch) from their source ``texts``
+        (path -> text); results in input order."""
         return self.pool.map_ordered(
             compile_file_task,
-            [(self.root, self.work, self.reference_libs, p)
+            [(self.root, self.work, self.reference_libs, p, texts[p])
              for p in paths])
 
     def close(self):

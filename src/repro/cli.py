@@ -428,7 +428,7 @@ def cmd_compile(args, out):
 
 def cmd_build(args, out):
     from .build import BuildError, IncrementalBuilder
-    from .diag import Tracer, render
+    from .diag import Tracer, gc_summary, render
 
     if args.root is None:
         out("build: a persistent --root is required "
@@ -484,6 +484,8 @@ def cmd_build(args, out):
         if firings:
             out("AG evaluation: %d rule firing(s) across workers"
                 % firings)
+        if report.gc_stats:
+            out(gc_summary(report.gc_stats))
     _emit_trace(tracer, args, out,
                 default_path=os.path.join(args.root,
                                           "build-trace.json"))

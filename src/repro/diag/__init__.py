@@ -12,7 +12,8 @@ Three layers, one subsystem:
   the parallel build ship their (picklable) events back for one merged
   timeline.
 - :mod:`repro.diag.observe` — :class:`AGObserver` counters for rule
-  firings, demand-memo hits/misses, and visit-sequence visits, plus
+  firings, demand-memo hits/misses, and visit-sequence visits,
+  :class:`GCWatch` for the cyclic collector's runs and seconds, plus
   :func:`explain_cycle` for circularity post-mortems.
 """
 
@@ -34,7 +35,7 @@ from .diagnostic import (
     DiagnosticEngine,
     parse_legacy_message,
 )
-from .observe import AGObserver, explain_cycle
+from .observe import AGObserver, GCWatch, explain_cycle, gc_summary
 from .render import (
     FORMATS,
     render,
@@ -61,12 +62,14 @@ __all__ = [
     "ERROR",
     "FATAL",
     "FORMATS",
+    "GCWatch",
     "NOTE",
     "SEVERITY_RANK",
     "SourceSpan",
     "Tracer",
     "WARNING",
     "explain_cycle",
+    "gc_summary",
     "load_trace",
     "merge_traces",
     "parse_legacy_message",

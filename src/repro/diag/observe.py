@@ -7,9 +7,13 @@ evaluators report into — per-production rule firings, demand-evaluator
 memo hits/misses, and static-evaluator visit counts — and
 :func:`explain_cycle` renders a :class:`~repro.ag.errors.
 CircularityError` cycle with production and line context instead of a
-bare instance chain.
+bare instance chain.  :class:`GCWatch` counts the cyclic garbage
+collector's runs and seconds over a compile, so its cost (which no
+profile attributes to a function) shows in build profiles and metrics.
 """
 
+import gc
+import time
 from collections import Counter
 
 
@@ -105,21 +109,64 @@ class AGObserver:
         return "\n".join(lines)
 
 
+class GCWatch:
+    """Per-generation cyclic-collector runs and seconds while active.
+
+    A context manager installing one :data:`gc.callbacks` hook.  The
+    hook sees every collection in the process, so compiles running
+    concurrently in threads of one process each count the other's.
+    """
+
+    GENERATIONS = (0, 1, 2)
+
+    def __init__(self):
+        self.collections = dict.fromkeys(self.GENERATIONS, 0)
+        self.seconds = dict.fromkeys(self.GENERATIONS, 0.0)
+        self._started = None
+
+    def _hook(self, phase, info):
+        if phase == "start":
+            self._started = time.perf_counter()
+        elif self._started is not None:
+            generation = info["generation"]
+            self.collections[generation] += 1
+            self.seconds[generation] += \
+                time.perf_counter() - self._started
+            self._started = None
+
+    def __enter__(self):
+        gc.callbacks.append(self._hook)
+        return self
+
+    def __exit__(self, *exc):
+        gc.callbacks.remove(self._hook)
+
+    def as_dict(self):
+        return {"collections": dict(self.collections),
+                "seconds": dict(self.seconds)}
+
+
+def gc_summary(stats):
+    """One profile line for a (merged) :meth:`GCWatch.as_dict`."""
+    collections = stats.get("collections", {})
+    seconds = stats.get("seconds", {})
+    return "GC: " + ", ".join(
+        "gen%d %d run(s) %.3f s"
+        % (g, collections.get(g, 0), seconds.get(g, 0.0))
+        for g in GCWatch.GENERATIONS)
+
+
 # -- cycle explanation -------------------------------------------------------
 
 
-def _instance_context(node, attr):
-    """(symbol, attr, production label, line) of one cycle instance."""
+def _instance_context(node, attr, owner):
+    """(symbol, attr, production, defining production, line) of one
+    cycle instance; ``owner`` is the node whose production defines it
+    (None when unknown)."""
     symbol = getattr(getattr(node, "symbol", None), "name", "?")
     line = getattr(node, "line", 0)
     production = getattr(node, "production", None)
-    if getattr(node, "parent", None) is not None and hasattr(
-            node.parent, "production"):
-        # Inherited attributes are defined by the parent production;
-        # showing both sides locates the defining rule.
-        defined_in = node.parent.production
-    else:
-        defined_in = production
+    defined_in = getattr(owner, "production", production)
     return symbol, attr, production, defined_in, line
 
 
@@ -138,9 +185,10 @@ def explain_cycle(error):
         return "\n".join(lines)
     lines.append("attribute dependency cycle (%d instance(s)):"
                  % max(len(cycle) - 1, 1))
-    for i, (node, attr) in enumerate(cycle):
+    owners = getattr(error, "owners", None) or [None] * len(cycle)
+    for i, ((node, attr), owner) in enumerate(zip(cycle, owners)):
         symbol, attr, production, defined_in, line = \
-            _instance_context(node, attr)
+            _instance_context(node, attr, owner)
         plabel = getattr(production, "label", "?")
         ptext = str(production) if production is not None else "?"
         where = "line %d" % line if line else "line ?"

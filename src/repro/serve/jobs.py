@@ -89,6 +89,12 @@ class JobRunner:
             "ag_rule_firings_total", "semantic-rule firings")
         self._m_ag_visits = metrics.counter(
             "ag_visits_total", "static-evaluator symbol visits")
+        self._m_gc_collections = metrics.counter(
+            "python_gc_collections_total",
+            "cyclic garbage-collector runs during compiles")
+        self._m_gc_seconds = metrics.counter(
+            "python_gc_seconds_total",
+            "cyclic garbage-collector seconds during compiles")
         self._seq = 0
         self._pending = {}   # session id -> [_CompileJob]
         self._drainers = {}  # session id -> asyncio.Task
@@ -191,6 +197,11 @@ class JobRunner:
         ag = report.ag_stats
         self._m_ag_firings.inc(ag.get("total_firings", 0))
         self._m_ag_visits.inc(sum(ag.get("visits", {}).values()))
+        gc_stats = report.gc_stats
+        for gen, n in gc_stats.get("collections", {}).items():
+            self._m_gc_collections.labels(generation=str(gen)).inc(n)
+        for gen, seconds in gc_stats.get("seconds", {}).items():
+            self._m_gc_seconds.labels(generation=str(gen)).inc(seconds)
         self._record_batch_spans(jobs, batch_ctx, report, started,
                                  started_ts, run_s, len(batch_paths))
         for job in jobs:

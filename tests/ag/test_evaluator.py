@@ -144,6 +144,35 @@ class TestCompiledEvaluation:
             g.finish().run([Token("A", "a")])
         assert str(info.value) == "from a nested evaluation"
 
+    def test_missing_inner_inherited_is_not_a_root_read(self):
+        # Only the root's inherited attributes come from the caller: an
+        # unset one further down is a visit-sequence fault, not a
+        # missing root input.
+        g = AGSpec("inh")
+        g.terminals("A")
+        g.nonterminal("s", ("out", SYN))
+        g.nonterminal("t", ("down", INH), ("up", SYN))
+        s_t = g.production("s_t", "s -> t")
+        s_t.const("t.down", 1)
+        s_t.copy("s.out", "t.up")
+        g.production("t_a", "t -> A").rule(
+            "t.up", "t.down", fn=lambda down: down + 1)
+        compiled = g.finish()
+        assert compiled.run([Token("A", "a")])["out"] == 2
+
+        def s_t_without_down(node):
+            yield node.children[0], 0
+            node.attrs["out"] = node.children[0].attrs["up"]
+
+        program = compiled.visit_program()
+        program.table[compiled.grammar.production("s_t").index] = (
+            s_t_without_down,)
+        with pytest.raises(EvaluationError) as info:
+            compiled.run([Token("A", "a")])
+        assert str(info.value) == (
+            "visit-sequence bug: t.down not yet available in "
+            "production t_a")
+
     def test_unknown_goal_matches_dynamic(self, calc, lexer):
         tokens = lexer.scan("1")
         with pytest.raises(EvaluationError) as dyn:

@@ -148,13 +148,6 @@ class TestParser:
         assert tree.children[0].production.label == "x_eps"
         assert tree.children[0].children == []
 
-    def test_tree_parent_links(self):
-        parser = Parser(build_tables(expr_grammar()))
-        tree = parser.parse(toks("ID", "PLUS", "ID"))
-        child = tree.children[0]
-        assert child.parent is tree
-        assert child.child_index == 1
-
     def test_tree_line_numbers(self):
         parser = Parser(build_tables(expr_grammar()))
         tokens = [

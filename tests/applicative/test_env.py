@@ -1,5 +1,8 @@
 """Tests for the applicative environment and VHDL visibility rules."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.applicative import Env
 
 
@@ -131,3 +134,91 @@ class TestBindAll:
         assert env.lookup("a").entries == [1]
         assert env.lookup("b").entries == [2]
         assert len(env) == 2
+
+
+def spine_lookup(env, name):
+    """Reference: the visibility rules applied by walking the whole
+    binding spine, innermost first -> (entries, conflict)."""
+    direct, potential = [], []
+    stop_direct = False
+    for b in env.bindings():
+        if b.name != name:
+            continue
+        if b.via_use:
+            potential.append(b)
+        elif not stop_direct:
+            if b.overloadable:
+                direct.append(b)
+            elif not direct:
+                return [b.entry], False
+            else:
+                stop_direct = True
+    if direct:
+        entries = [b.entry for b in direct]
+        seen = {id(e) for e in entries}
+        for b in potential:
+            if b.overloadable and id(b.entry) not in seen:
+                seen.add(id(b.entry))
+                entries.append(b.entry)
+        return entries, False
+    if not potential:
+        return [], False
+    if all(b.overloadable for b in potential):
+        return [b.entry for b in potential], False
+    if len({id(b.entry) for b in potential}) == 1:
+        return [potential[0].entry], False
+    return [], True
+
+
+NAMES = ("a", "b", "c")
+ENTRIES = tuple("e%d" % i for i in range(4))
+BIND = st.tuples(st.just("bind"), st.sampled_from(NAMES),
+                 st.sampled_from(ENTRIES), st.booleans(), st.booleans())
+# Binds dominate so that spines grow past the lookup's scan limit and
+# lookups run both before and after an index exists further out.
+STEPS = st.one_of(
+    BIND, BIND, BIND, BIND,
+    st.just(("scope",)),
+    st.just(("lookup",)),
+    st.tuples(st.just("back"), st.integers(0, 63)),
+)
+
+
+class TestIndexedLookup:
+    """``lookup`` answers from a short scan plus memoized spine
+    indexes; it must agree with a linear spine walk on every Env,
+    including Envs that share an already-indexed tail (persistence)
+    and Envs looked up before and after more bindings are prepended."""
+
+    def test_lookup_through_an_indexed_tail(self):
+        env = Env.EMPTY.bind("a", "outer", overloadable=True)
+        for i in range(20):
+            env = env.bind("x%d" % i, i)
+        assert env.lookup("a").entries == ["outer"]  # indexes env
+        inner = env.bind("a", "inner", overloadable=True)
+        assert inner.lookup("a").entries == ["inner", "outer"]
+        assert inner.bind("y", 0).lookup("a").entries == \
+            ["inner", "outer"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(STEPS, max_size=60))
+    def test_lookup_matches_spine_walk(self, steps):
+        env = Env.EMPTY
+        history = [env]
+        for step in steps:
+            if step[0] == "scope":
+                env = env.enter_scope()
+            elif step[0] == "back":
+                env = history[step[1] % len(history)]
+            elif step[0] == "bind":
+                _, name, entry, overloadable, via_use = step
+                env = env.bind(name, entry, overloadable, via_use)
+            else:
+                for name in NAMES:
+                    env.lookup(name)
+            history.append(env)
+        for env in history:
+            for name in NAMES + ("missing",):
+                result = env.lookup(name)
+                assert (result.entries, result.conflict) == \
+                    spine_lookup(env, name)

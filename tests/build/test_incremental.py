@@ -8,7 +8,7 @@ import os
 
 import pytest
 
-from repro.build import BuildError, IncrementalBuilder
+from repro.build import BuildError, IncrementalBuilder, driver
 from repro.vhdl.elaborate import Elaborator
 
 NS = 10**6
@@ -219,6 +219,39 @@ class TestInvalidation:
         report = IncrementalBuilder(root).build([pkg, user])
         assert report.ok, report.summary()
         assert set(report.paths("compiled")) == {pkg, user}
+
+
+class TestSourceSnapshot:
+    def test_compiles_the_text_it_fingerprinted(self, tmp_path,
+                                                monkeypatch):
+        """An edit saved between fingerprinting and compiling must not
+        put the new units in the library under the old fingerprint:
+        reverting the edit would then read as a cache hit over them."""
+        v1 = """
+            entity s is end s;
+            architecture a of s is
+              signal n : integer := 1;
+            begin
+            end a;
+        """
+        src = write(tmp_path / "s.vhd", v1)
+        root = str(tmp_path / "libs")
+        file_batches = driver.file_batches
+
+        def edit_after_fingerprint(paths, deps):
+            write(src, v1.replace(":= 1", ":= 2"))
+            return file_batches(paths, deps)
+
+        monkeypatch.setattr(driver, "file_batches",
+                            edit_after_fingerprint)
+        IncrementalBuilder(root).build([src])
+        monkeypatch.undo()
+        write(src, v1)
+        builder = IncrementalBuilder(root)
+        assert builder.build([src]).paths("hit") == [src]
+        sim = Elaborator(builder.library()).elaborate("s")
+        sim.run(until_fs=NS)
+        assert sim.value("n") == 1
 
 
 class TestCompileOrder:

@@ -64,7 +64,8 @@ def cold_translators(monkeypatch):
 
 def compile_counting(root, path):
     """Worker task: compile one file; report generations seen so far."""
-    result = compile_file_task(root, "work", (), path)
+    with open(path) as f:
+        result = compile_file_task(root, "work", (), path, f.read())
     return len(GENERATED), result["ok"]
 
 

@@ -1,5 +1,6 @@
 """AG observability: rule-firing counters, memo stats, cycle explanation."""
 
+import gc
 from collections import Counter
 
 import pytest
@@ -13,7 +14,7 @@ from repro.ag import (
     SYN,
     Token,
 )
-from repro.diag import AGObserver, explain_cycle
+from repro.diag import AGObserver, GCWatch, explain_cycle, gc_summary
 
 from ..ag.calc_fixture import make_compiled, make_lexer
 
@@ -159,7 +160,32 @@ class TestExplainCycle:
         assert "the cycle closes" in text
         # the demanded-while-computing arrows link the instances
         assert "demanded while computing" in text
+        # t.down is inherited: the rule defining it sits in the parent
+        # production instance, which the explanation names
+        lines = text.splitlines()
+        down = next(i for i, line in enumerate(lines)
+                    if " t.down  in t_a " in line)
+        assert lines[down + 1].strip() == \
+            "defined by parent production s_t"
 
     def test_empty_cycle(self):
         text = explain_cycle(CircularityError("c", cycle=[]))
         assert "(no cycle recorded)" in text
+
+
+class TestGCWatch:
+    def test_counts_collections_per_generation_while_active(self):
+        with GCWatch() as watch:
+            gc.collect()
+            gc.collect(0)
+        assert watch.collections[2] >= 1 and watch.collections[0] >= 1
+        assert watch.seconds[2] > 0
+        stats = watch.as_dict()
+        gc.collect()  # the hook is gone: no longer counted
+        assert watch.as_dict() == stats
+
+    def test_summary_line(self):
+        line = gc_summary({"collections": {0: 5, 2: 1},
+                           "seconds": {0: 0.25}})
+        assert line == ("GC: gen0 5 run(s) 0.250 s, gen1 0 run(s) "
+                        "0.000 s, gen2 1 run(s) 0.000 s")

@@ -295,6 +295,9 @@ class TestBuildProfileTrace:
         default = os.path.join(root, "build-trace.json")
         assert os.path.exists(default)
         assert json.load(open(default))["traceEvents"]
+        # the cyclic collector's share, per generation
+        assert any(line.startswith("GC: gen0 ")
+                   for line in collect.lines)
 
     def test_compile_trace_out(self, tmp_path, collect):
         files = _write_project(tmp_path, n=1)

@@ -102,6 +102,21 @@ class TestBasicRoutes:
         assert float(samples["ag_visits_total"]) > 0
         assert float(samples["ag_rule_firings_total"]) > 0
 
+    def test_metrics_export_gc_per_generation_after_compile(self, app):
+        (resp,) = run(app, mkreq("POST", "/compile", {
+            "session": "g", "files": [{"name": "blink.vhd",
+                                       "text": BLINK}]}))
+        assert body_of(resp)["ok"]
+        (resp,) = run(app, mkreq("GET", "/metrics"))
+        samples = dict(line.rsplit(" ", 1)
+                       for line in resp.body.decode().splitlines()
+                       if line.startswith("python_gc_"))
+        for gen in ("0", "1", "2"):
+            for family in ("collections", "seconds"):
+                value = samples['python_gc_%s_total{generation="%s"}'
+                                % (family, gen)]
+                assert float(value) >= 0
+
 
 class TestSessions:
     def test_create_list_drop(self, app):

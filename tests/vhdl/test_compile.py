@@ -1,7 +1,12 @@
 """Compiler front-end tests: units, declarations, diagnostics."""
 
+import gc
+import os
+
 import pytest
 
+from repro.ag import Token
+from repro.ag.lr.parser import ParseTree
 from repro.vhdl.compiler import CompileError, Compiler
 
 from .helpers import compile_messages, compile_ok
@@ -326,3 +331,29 @@ class TestCompileResultUnitNames:
             res.unit_names()
         # repr stays safe even for the pathological case.
         assert "<unnamed>" in repr(res)
+
+
+class TestAcyclicTrees:
+    """Parse trees hold no back links, so a compile's trees (the
+    file's and every cascaded LEF re-parse) are freed by reference
+    counting and never reach the cyclic collector."""
+
+    DEMO = os.path.join(os.path.dirname(__file__), "..", "..",
+                        "examples", "metrics_demo.vhd")
+
+    def test_compile_leaves_no_tree_in_cyclic_garbage(self, tmp_path):
+        # Warm the translators first: their one-time construction is
+        # not what this test is about.
+        Compiler(root=str(tmp_path / "warm")).compile_file(self.DEMO)
+        gc.collect()
+        debug = gc.get_debug()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            Compiler(root=str(tmp_path / "lib")).compile_file(self.DEMO)
+            gc.collect()
+            leaked = [type(o).__name__ for o in gc.garbage
+                      if isinstance(o, (ParseTree, Token))]
+        finally:
+            gc.set_debug(debug)
+            gc.garbage.clear()
+        assert leaked == []
