@@ -228,11 +228,35 @@ def _suspends(node):
 # -- extraction ----------------------------------------------------------------
 
 
-def extract_unit_facts(node, kind=None):
+def unit_tree(node, trees=None):
+    """The parsed ``py_source`` of one unit node, or None when it has
+    none or it does not parse.
+
+    ``trees`` is a caller-owned memo keyed by node identity: passes
+    over the same records share one parse, and the trees go when the
+    caller drops the dict (libraries outlive any one pass).
+    """
+    key = id(node)
+    if trees is not None and key in trees:
+        return trees[key]
+    tree = None
+    py = getattr(node, "py_source", "") or ""
+    if py:
+        try:
+            tree = ast.parse(py)
+        except SyntaxError:
+            pass
+    if trees is not None:
+        trees[key] = tree
+    return tree
+
+
+def extract_unit_facts(node, kind=None, trees=None):
     """Extract :class:`UnitFacts` from one VIF unit node.
 
     ``node`` is any unit carrying ``py_source`` (architectures are the
     interesting case; entities and packages yield near-empty facts).
+    ``trees`` is an optional :func:`unit_tree` memo.
     """
     name = getattr(node, "name", "?")
     source_file = getattr(node, "source_file", "") or None
@@ -241,9 +265,8 @@ def extract_unit_facts(node, kind=None):
     py = getattr(node, "py_source", "") or ""
     if "def elaborate" not in py:
         return facts
-    try:
-        tree = ast.parse(py)
-    except SyntaxError:
+    tree = unit_tree(node, trees)
+    if tree is None:
         return facts
     elab = None
     for stmt in tree.body:

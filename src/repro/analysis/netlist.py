@@ -197,21 +197,23 @@ class DesignGraph:
             len(self.processes))
 
 
-def _facts_for(node, cache):
+def _facts_for(node, cache, trees):
     key = id(node)
     facts = cache.get(key)
     if facts is None:
-        facts = extract_unit_facts(node)
+        facts = extract_unit_facts(node, trees=trees)
         cache[key] = facts
     return facts
 
 
-def build_netlist(records, top_path=None):
+def build_netlist(records, top_path=None, trees=None):
     """Build a :class:`DesignGraph` from elaboration records.
 
     ``records`` is ``Elaborator.records`` (or ``Simulation.records``)
     — the per-instance elaboration trace.  Extraction is total:
     records whose units carry no generated model contribute nothing.
+    ``trees`` is an optional :func:`~repro.analysis.facts.unit_tree`
+    memo shared with a later pass over the same records.
     """
     records = list(records)
     if top_path is None:
@@ -230,7 +232,7 @@ def build_netlist(records, top_path=None):
     for record in records:
         if record.kind != "package":
             continue
-        facts = _facts_for(record.node, facts_cache)
+        facts = _facts_for(record.node, facts_cache, trees)
         for py, obj in facts.objects.items():
             sig = record.signals.get(obj.name)
             if sig is not None:
@@ -238,7 +240,7 @@ def build_netlist(records, top_path=None):
 
     top_record = None
     for record in records:
-        facts = _facts_for(record.node, facts_cache)
+        facts = _facts_for(record.node, facts_cache, trees)
 
         local = {}
         for py, obj in facts.objects.items():

@@ -950,10 +950,11 @@ def cmd_simulate(args, out):
         return 1
     kernel = run.kernel
     if run.codegen is not None:
-        out("codegen: %d/%d process(es) compiled, %d slot "
-            "signal(s), %.1f ms"
+        out("codegen: %d/%d process(es) compiled from %d "
+            "template(s), %d slot signal(s), %.1f ms"
             % (kernel.compiled_procs, len(kernel.processes),
-               kernel.slot_signals, kernel.codegen_seconds * 1e3))
+               run.codegen["templates"], kernel.slot_signals,
+               kernel.codegen_seconds * 1e3))
     for line in run.report_lines:
         out(line)
     if args.vcd:

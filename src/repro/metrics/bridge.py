@@ -85,6 +85,11 @@ def bridge_kernel(registry, kernel):
             "zero after a fingerprint cache hit would still bind)"
         ).set(kernel.codegen_seconds)
         registry.gauge(
+            "sim_codegen_templates",
+            "distinct process shapes rendered and byte-compiled; "
+            "compiled processes bind to them by data"
+        ).set(kernel.program.stats["templates"])
+        registry.gauge(
             "sim_compiled_procs",
             "processes dispatched as specialized plain functions"
         ).set(kernel.compiled_procs)

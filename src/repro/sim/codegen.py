@@ -2,17 +2,20 @@
 
 The source paper's pipeline ends in generated C compiled by the host
 compiler; this module is the reproduction's equivalent of that last
-mile.  Given the elaborator's records and the PR-9
-:class:`~repro.analysis.netlist.DesignGraph`, it re-parses each
-generated model's ``py_source``, classifies every process, and renders
-one specialized Python module per design:
+mile.  Given the elaborator's records and their
+:class:`~repro.analysis.netlist.DesignGraph`, it walks each generated
+model's ``py_source`` (parsed once per unit, shared with the netlist
+extraction), classifies every process, and renders **one template per
+process shape** — the body with every free name replaced by its role
+— into one small module per design:
 
 - **canonical processes** — a single ``yield rt.wait(...)`` as the
   first or last statement of the ``while True`` loop, no persistent
   locals — become plain functions called directly by the
   :class:`~repro.sim.compiled.CompiledKernel` dispatch loop, with
-  ``rt.read(sig)`` rewritten to a flat-list subscript ``V[i]``
-  (current values indexed by ``Signal.index``) and signal attributes
+  ``rt.read(sig)`` rewritten to a flat-list subscript ``V[_s0]``
+  (current values indexed by ``Signal.index``, the index a template
+  parameter) and signal attributes
   (``'EVENT``/``'ACTIVE``/``'LAST_VALUE``) to direct stamp compares;
 - **slot-managed signals** — driven by exactly one canonical process,
   unresolved, off the cyclic quarantine, and only ever assigned
@@ -28,11 +31,16 @@ one specialized Python module per design:
   with compiled processes in registration-index order so semantics
   stay byte-identical to the activity kernel.
 
-The rendered module is pure: it depends only on the design's
-``py_source`` texts and signal/process indices, never on
-elaboration-time values (generic-folded constants are captured from
-each process function's closure at *bind* time), so the compiled code
-object is cached by design fingerprint across elaborations.
+A template's parameters are its signal indices (``_s<k>``) and its
+captured environment values (``_e_<name>``); each instance's
+:class:`ProcPlan` carries the indices and the names to re-capture, and
+the kernel binds them as function defaults, so codegen cost follows
+the number of distinct shapes, not the number of instances.  The
+module is pure: it depends only on the design's ``py_source`` texts
+and slot classification, never on elaboration-time values
+(generic-folded constants are captured from each process function's
+closure at *bind* time), so the compiled code object is cached by
+design fingerprint across elaborations.
 """
 
 import ast
@@ -57,19 +65,26 @@ class Reject(Exception):
 
 
 class ProcPlan:
-    """How one compiled process appears in the generated module."""
+    """How one compiled process binds to its template.
+
+    Signal indices and captured environment names are per-instance
+    data: :meth:`~repro.sim.compiled.CompiledKernel._bind` passes them
+    as the template function's defaults, so instances of one shape
+    share one code object.
+    """
 
     __slots__ = ("proc_index", "resume", "cond", "init_runs_body",
-                 "wait_indices", "env", "pure")
+                 "wait_indices", "args", "env", "pure")
 
     def __init__(self, proc_index, resume, cond, init_runs_body,
-                 wait_indices, env, pure=False):
+                 wait_indices, args, env, pure=False):
         self.proc_index = proc_index
-        self.resume = resume  # generated resume-function name
-        self.cond = cond  # generated condition-function name or None
+        self.resume = resume  # template resume-function name
+        self.cond = cond  # template condition-function name or None
         self.init_runs_body = init_runs_body
         self.wait_indices = list(wait_indices)
-        self.env = dict(env)  # mangled name -> original free name
+        self.args = tuple(args)  # Signal.index per ``_s<k>`` parameter
+        self.env = env  # free names re-captured per ``_e_<name>``
         #: ``pure`` resume functions touch only slot storage and
         #: ``ops`` arithmetic — no ``rt`` access, no captured helper
         #: calls — so the kernel may dispatch them without the
@@ -79,7 +94,7 @@ class ProcPlan:
 
 
 class Program:
-    """One design's specialized module: source, code, bind metadata."""
+    """One design's template module: source, code, bind metadata."""
 
     __slots__ = ("fingerprint", "source", "code", "plans",
                  "slot_indices", "stats")
@@ -321,11 +336,18 @@ def _call_risk(node, env_fn):
 
 
 def _site_of(call, env_fn, kernel):
+    name, n_elems, transport, zero_literal = _assign_shape(call)
+    sig = _signal_of(env_fn, name, kernel)
+    if sig is None:
+        raise Reject("names")
+    return SiteInfo(sig, n_elems, transport, zero_literal)
+
+
+def _assign_shape(call):
+    """An ``rt.assign`` call's target name, waveform length, transport
+    flag and whether its first delay is a literal zero."""
     args = list(call.args)
     if len(args) < 2 or not isinstance(args[0], ast.Name):
-        raise Reject("names")
-    sig = _signal_of(env_fn, args[0].id, kernel)
-    if sig is None:
         raise Reject("names")
     waveform = args[1]
     if not isinstance(waveform, ast.Tuple) or not waveform.elts:
@@ -346,8 +368,8 @@ def _site_of(call, env_fn, kernel):
             raise Reject("names")
         transport = bool(args[2].value)
     first_delay = waveform.elts[0].elts[1]
-    return SiteInfo(sig, len(waveform.elts), transport,
-                    _is_const_zero(first_delay))
+    return (args[0].id, len(waveform.elts), transport,
+            _is_const_zero(first_delay))
 
 
 def _is_const_zero(node):
@@ -413,24 +435,20 @@ class _Rewriter(ast.NodeTransformer):
             binder = self.binder
             binder.check_rt()
             if attr == "read":
-                sig = self._sig_arg(node)
-                return _expr_src("V[%d]" % binder.index(sig))
+                return _expr_src("V[%s]" % self._sig_arg(node))
             if attr == "event":
-                sig = self._sig_arg(node)
                 binder.uses_step = True
                 return _expr_src(
-                    "1 if SIG[%d].event_delta == step else 0"
-                    % binder.index(sig))
+                    "1 if SIG[%s].event_delta == step else 0"
+                    % self._sig_arg(node))
             if attr == "active":
-                sig = self._sig_arg(node)
                 binder.uses_step = True
                 return _expr_src(
-                    "1 if SIG[%d].active_delta == step else 0"
-                    % binder.index(sig))
+                    "1 if SIG[%s].active_delta == step else 0"
+                    % self._sig_arg(node))
             if attr == "last_value":
-                sig = self._sig_arg(node)
-                return _expr_src("SIG[%d].last_value"
-                                 % binder.index(sig))
+                return _expr_src("SIG[%s].last_value"
+                                 % self._sig_arg(node))
             if attr in ("assert_", "check"):
                 return ast.Call(
                     func=node.func,
@@ -446,10 +464,10 @@ class _Rewriter(ast.NodeTransformer):
         if len(node.args) != 1 or node.keywords \
                 or not isinstance(node.args[0], ast.Name):
             raise Reject("names")
-        sig = self.binder.signal(node.args[0].id)
-        if sig is None:
+        param = self.binder.signal(node.args[0].id)
+        if param is None:
             raise Reject("names")
-        return sig
+        return param
 
     # -- rejection wall ------------------------------------------------
 
@@ -460,44 +478,42 @@ class _Rewriter(ast.NodeTransformer):
 
 
 class _Binder:
-    """Per-process name resolution + environment mangling."""
+    """Name resolution for one template, from its shape's roles."""
 
-    def __init__(self, proc, pid, kernel, ops_obj):
-        self.proc = proc
-        self.pid = pid
-        self.kernel = kernel
-        self.ops = ops_obj
-        self.env = {}  # mangled -> original name
+    def __init__(self, shape):
+        self.roles = shape.roles
+        self.rt_ok = shape.rt_ok
+        self.env = []  # captured free names, in first-use order
         self.uses_now = False
         self.uses_step = False
 
     def signal(self, name):
-        return _signal_of(self.proc.fn, name, self.kernel)
+        """The ``_s<k>`` parameter a signal name became, else None."""
+        return name if self.roles.get(name) in ("s", "S") else None
+
+    def is_slot(self, param):
+        return self.roles[param] == "S"
 
     def check_rt(self):
-        if capture(self.proc.fn, "rt") is not self.kernel.rt:
+        if not self.rt_ok:
             raise Reject("names")
 
     def name_load(self, name):
-        value = capture(self.proc.fn, name)
-        if value is _MISSING:
+        role = self.roles.get(name, "?")
+        if role in ("?", "s", "S", "x"):
+            # Missing, or a bare signal outside rt.*/wait.
             raise Reject("names")
-        if isinstance(value, Signal):
-            raise Reject("names")  # bare signal outside rt.*/wait
-        if name == "rt":
+        if role == "r":
             self.check_rt()
             return ast.Name(id="rt", ctx=ast.Load())
-        if name == "ops" and value is self.ops:
+        if role == "o":
             return ast.Name(id="ops", ctx=ast.Load())
-        mangled = "_e%d_%s" % (self.pid, name)
-        self.env[mangled] = name
-        return ast.Name(id=mangled, ctx=ast.Load())
-
-    def index(self, sig):
-        return sig.index
+        if name not in self.env:
+            self.env.append(name)
+        return ast.Name(id="_e_" + name, ctx=ast.Load())
 
 
-def _rewrite_stmts(stmts, binder, slot_indices, defined, depth=0):
+def _rewrite_stmts(stmts, binder, defined, depth=0):
     """Transform a statement list; raises :class:`Reject` on any
     construct the specializer does not model."""
     out = []
@@ -506,8 +522,7 @@ def _rewrite_stmts(stmts, binder, slot_indices, defined, depth=0):
             call = stmt.value
             if _rt_call(call, "assign") is not None \
                     and "rt" not in defined:
-                out.extend(_rewrite_assign(call, binder, slot_indices,
-                                           defined))
+                out.extend(_rewrite_assign(call, binder, defined))
                 continue
             tx = _Rewriter(binder, defined)
             out.append(ast.Expr(value=tx.visit(call)))
@@ -529,10 +544,10 @@ def _rewrite_stmts(stmts, binder, slot_indices, defined, depth=0):
         elif isinstance(stmt, ast.If):
             tx = _Rewriter(binder, defined)
             test = tx.visit(stmt.test)
-            body = _rewrite_stmts(stmt.body, binder, slot_indices,
-                                  set(defined), depth)
-            orelse = _rewrite_stmts(stmt.orelse, binder, slot_indices,
-                                    set(defined), depth)
+            body = _rewrite_stmts(stmt.body, binder, set(defined),
+                                  depth)
+            orelse = _rewrite_stmts(stmt.orelse, binder, set(defined),
+                                    depth)
             out.append(ast.If(test=test, body=body or [ast.Pass()],
                               orelse=orelse))
         elif isinstance(stmt, ast.For):
@@ -542,8 +557,7 @@ def _rewrite_stmts(stmts, binder, slot_indices, defined, depth=0):
             it = tx.visit(stmt.iter)
             inner = set(defined)
             inner.add(stmt.target.id)
-            body = _rewrite_stmts(stmt.body, binder, slot_indices,
-                                  inner, depth + 1)
+            body = _rewrite_stmts(stmt.body, binder, inner, depth + 1)
             out.append(ast.For(target=stmt.target, iter=it,
                                body=body or [ast.Pass()], orelse=[]))
         elif isinstance(stmt, ast.While):
@@ -551,8 +565,8 @@ def _rewrite_stmts(stmts, binder, slot_indices, defined, depth=0):
                 raise Reject("construct")
             tx = _Rewriter(binder, defined)
             test = tx.visit(stmt.test)
-            body = _rewrite_stmts(stmt.body, binder, slot_indices,
-                                  set(defined), depth + 1)
+            body = _rewrite_stmts(stmt.body, binder, set(defined),
+                                  depth + 1)
             out.append(ast.While(test=test, body=body or [ast.Pass()],
                                  orelse=[]))
         elif isinstance(stmt, (ast.Break, ast.Continue)):
@@ -566,14 +580,16 @@ def _rewrite_stmts(stmts, binder, slot_indices, defined, depth=0):
     return out
 
 
-def _rewrite_assign(call, binder, slot_indices, defined):
+def _rewrite_assign(call, binder, defined):
     """One ``rt.assign`` statement → slot write or generic fallback."""
     binder.check_rt()
-    site = _site_of(call, binder.proc.fn, binder.kernel)
-    idx = site.signal.index
+    name, _n_elems, transport, _zero = _assign_shape(call)
+    sig = binder.signal(name)
+    if sig is None:
+        raise Reject("names")
     tx = _Rewriter(binder, defined)
     waveform = call.args[1]
-    if idx in slot_indices:
+    if binder.is_slot(sig):
         binder.uses_now = True
         elem = waveform.elts[0]
         value = tx.visit(elem.elts[0])
@@ -582,10 +598,10 @@ def _rewrite_assign(call, binder, slot_indices, defined):
             # nothing can precede ``now``): overwrite the slot and
             # mark it due this timestep, once.
             assign = ast.parse(
-                "NV[%d] = 0\n"
-                "if NT[%d] != now:\n"
-                "    NT[%d] = now\n"
-                "    _DUE.append(%d)\n" % (idx, idx, idx, idx)).body
+                "NV[{0}] = 0\n"
+                "if NT[{0}] != now:\n"
+                "    NT[{0}] = now\n"
+                "    _DUE.append({0})\n".format(sig)).body
             assign[0].value = value
             return assign
         delay = elem.elts[1]
@@ -595,20 +611,19 @@ def _rewrite_assign(call, binder, slot_indices, defined):
             # ``after <time literal>`` form): the whole ``_sched``
             # body inlines with the target time folded.
             assign = ast.parse(
-                "NV[%d] = 0\n"
-                "_t = now + %d\n"
-                "if NT[%d] != _t:\n"
-                "    NT[%d] = _t\n"
+                "NV[{0}] = 0\n"
+                "_t = now + {1}\n"
+                "if NT[{0}] != _t:\n"
+                "    NT[{0}] = _t\n"
                 "    _b = _B.get(_t)\n"
                 "    if _b is None:\n"
-                "        _B[_t] = [%d]\n"
+                "        _B[_t] = [{0}]\n"
                 "        _hpush(_H, _t)\n"
                 "    else:\n"
-                "        _b.append(%d)\n"
-                % (idx, delay.value, idx, idx, idx, idx)).body
+                "        _b.append({0})\n".format(sig, delay.value)).body
             assign[0].value = value
             return assign
-        sched = _expr_src("_sched(%d, 0, 0, now)" % idx)
+        sched = _expr_src("_sched(%s, 0, 0, now)" % sig)
         sched.args[1] = value
         sched.args[2] = tx.visit(delay)
         return [ast.Expr(value=sched)]
@@ -619,8 +634,8 @@ def _rewrite_assign(call, binder, slot_indices, defined):
         elems.append(ast.Tuple(
             elts=[tx.visit(elem.elts[0]), tx.visit(elem.elts[1])],
             ctx=ast.Load()))
-    new_call = _expr_src("rt.assign(SIG[%d], None, transport=%s)"
-                         % (idx, bool(site.transport)))
+    new_call = _expr_src("rt.assign(SIG[%s], None, transport=%s)"
+                         % (sig, bool(transport)))
     new_call.args[1] = ast.Tuple(elts=elems, ctx=ast.Load())
     return [ast.Expr(value=new_call)]
 
@@ -657,19 +672,21 @@ def _def(name, args, body):
         decorator_list=[])
 
 
-def build_program(kernel, records, graph, cyclic):
-    """Analyze, classify, and render one design's specialized module.
+def build_program(kernel, records, graph, cyclic, trees=None):
+    """Analyze, classify, and render one design's template module.
 
-    ``cyclic`` is the levelization quarantine (NetSignals).  Returns a
-    :class:`Program`; processes and signals that cannot be specialized
-    simply stay generic — the result is always safe to bind.
+    ``cyclic`` is the levelization quarantine (NetSignals); ``trees``
+    an optional :func:`~repro.analysis.facts.unit_tree` memo shared
+    with the netlist extraction.  Returns a :class:`Program`;
+    processes and signals that cannot be specialized simply stay
+    generic — the result is always safe to bind.
     """
     stats = {"procs": len(kernel.processes), "compiled": 0,
-             "slots": 0, "generic": 0}
+             "templates": 0, "slots": 0, "generic": 0}
     for reason in REASONS:
         stats.setdefault("reject_%s" % reason, 0)
 
-    proc_defs = _collect_funcdefs(records)
+    proc_defs = _collect_funcdefs(records, trees)
     cyclic_sigs = {ns.signal for ns in cyclic}
 
     # Pass A: canonical-shape analysis.
@@ -698,9 +715,10 @@ def build_program(kernel, records, graph, cyclic):
     slot_indices = _classify_slots(kernel, graph, analyses,
                                    cyclic_sigs, helper_risk)
 
-    # Pass C: rewrite.  A rewrite-stage rejection demotes the process
-    # (and un-slots its targets, conservatively re-running until the
-    # fixpoint — in practice one extra pass at most).
+    # Pass C: rewrite, one template per shape.  A rewrite-stage
+    # rejection demotes the process (and un-slots its targets,
+    # conservatively re-running until the fixpoint — in practice one
+    # extra pass at most).
     while True:
         plans, defs, demoted = _render_all(kernel, analyses,
                                            slot_indices, stats)
@@ -710,9 +728,9 @@ def build_program(kernel, records, graph, cyclic):
             del analyses[proc]
         slot_indices = _classify_slots(kernel, graph, analyses,
                                        cyclic_sigs, helper_risk)
-        stats["compiled"] = 0
 
     stats["compiled"] = len(plans)
+    stats["templates"] = len({plan.resume for plan in plans.values()})
     stats["slots"] = len(slot_indices)
     stats["generic"] = len(kernel.processes) - len(plans)
 
@@ -728,37 +746,50 @@ def build_program(kernel, records, graph, cyclic):
                    stats)
 
 
-def _collect_funcdefs(records):
+def _collect_funcdefs(records, trees=None):
     """Map each kernel process to its generated-function AST."""
-    module_cache = {}
+    from ..analysis.facts import unit_tree
+
+    unit_defs = {}
     proc_defs = {}
     for record in records:
         if not record.processes:
             continue
-        py = getattr(record.node, "py_source", "")
-        if not py:
-            continue
         key = id(record.node)
-        defs = module_cache.get(key)
+        defs = unit_defs.get(key)
         if defs is None:
-            try:
-                tree = ast.parse(py)
-            except SyntaxError:
-                module_cache[key] = defs = {}
-            else:
-                defs = {}
-                for node in ast.walk(tree):
-                    if isinstance(node, ast.FunctionDef):
-                        defs.setdefault(node.name, node)
-                module_cache[key] = defs
+            defs = unit_defs[key] = _function_defs(
+                unit_tree(record.node, trees))
         for proc in record.processes.values():
             fn = proc.fn
             if fn is None:
                 continue
-            funcdef = defs.get(fn.__code__.co_name)
+            code = fn.__code__
+            funcdef = defs.get((code.co_name, code.co_firstlineno))
             if funcdef is not None:
                 proc_defs[proc] = funcdef
     return proc_defs
+
+
+def _function_defs(tree):
+    """Every ``def`` in a model's statement lists (``elaborate``'s
+    body, generate loops and branches), keyed like the code objects
+    they compile to: ``(co_name, co_firstlineno)``."""
+    defs = {}
+    if tree is None:
+        return defs
+    stack = [tree.body]
+    while stack:
+        for stmt in stack.pop():
+            if isinstance(stmt, ast.FunctionDef):
+                first = min([stmt.lineno] + [d.lineno for d in
+                                             stmt.decorator_list])
+                defs[(stmt.name, first)] = stmt
+            for block in (getattr(stmt, "body", None),
+                          getattr(stmt, "orelse", None)):
+                if block:
+                    stack.append(block)
+    return defs
 
 
 def _classify_slots(kernel, graph, analyses, cyclic_sigs,
@@ -805,52 +836,171 @@ def _classify_slots(kernel, graph, analyses, cyclic_sigs,
     return frozenset(slots)
 
 
+class _Shape:
+    """One analyzed process's template key and its instance data.
+
+    The key is the body (plus the condition lambda) serialized with
+    every free name replaced by its role: a signal of this kernel
+    becomes the positional parameter ``_s<k>`` tagged with whether it
+    is slot-managed, ``rt``/``ops`` carry their identity checks, a
+    captured value keeps its name, a local or missing name stays
+    literal.  Everything the rewriter reads from an instance is in
+    the key, so one rendering serves every instance that shares it.
+
+    Role letters: ``S``/``s`` a slot-managed/calendar signal of this
+    kernel, ``x`` another kernel's signal, ``r`` ``rt`` (its identity
+    is ``rt_ok``), ``o`` the runtime's ``ops``, ``e`` a captured
+    value, ``?`` a local or missing name.
+    """
+
+    __slots__ = ("key", "signals", "rename", "roles", "rt_ok")
+
+    def __init__(self, analysis, kernel, slot_indices, ops_obj):
+        fn = analysis.proc.fn
+        self.rt_ok = capture(fn, "rt") is kernel.rt
+        signals = self.signals = []  # Signal per ``_s<k>`` parameter
+        rename = self.rename = {}  # free name -> template name
+        roles = self.roles = {}  # template name -> role letter
+        tokens = [analysis.init_runs_body, self.rt_ok]
+        out = tokens.append
+
+        def name_token(name):
+            new = rename.get(name)
+            if new is None:
+                if name.startswith("_e_") or (
+                        name[:2] == "_s" and name[2:].isdigit()):
+                    raise Reject("names")  # would shadow a parameter
+                value = capture(fn, name)
+                new = name
+                if value is _MISSING:
+                    role = "?"
+                elif isinstance(value, Signal):
+                    if value.kernel is kernel:
+                        new = "_s%d" % len(signals)
+                        signals.append(value)
+                        role = "S" if value.index in slot_indices else "s"
+                    else:
+                        role = "x"
+                elif name == "rt":
+                    role = "r"
+                elif name == "ops" and value is ops_obj:
+                    role = "o"
+                else:
+                    role = "e"
+                rename[name] = new
+                roles[new] = role
+            return roles[new] + ":" + new
+
+        def walk(node):
+            if isinstance(node, ast.Name):
+                out(name_token(node.id))
+                out(type(node.ctx).__name__)
+                return
+            out(type(node).__name__)
+            for _field, value in ast.iter_fields(node):
+                if isinstance(value, ast.AST):
+                    walk(value)
+                elif isinstance(value, list):
+                    out("[")
+                    for item in value:
+                        if isinstance(item, ast.AST):
+                            walk(item)
+                        else:
+                            out(repr(item))
+                    out("]")
+                else:
+                    out(repr(value))
+
+        for stmt in analysis.body:
+            walk(stmt)
+        if analysis.cond_lambda is not None:
+            out("cond")
+            walk(analysis.cond_lambda.body)
+        self.key = tuple(tokens)
+
+
+class _Template:
+    """One rendered shape: function names, captured names, purity."""
+
+    __slots__ = ("resume", "cond", "env", "pure")
+
+    def __init__(self, resume, cond, env, pure):
+        self.resume = resume
+        self.cond = cond
+        self.env = env
+        self.pure = pure
+
+
+def _render_template(analysis, shape, tid, defs):
+    """Render the first instance of a shape as template ``tid``,
+    appending its defs; raises :class:`Reject` like the rewriter."""
+    body = copy.deepcopy(analysis.body)
+    cond = None
+    if analysis.cond_lambda is not None:
+        cond = copy.deepcopy(analysis.cond_lambda.body)
+    rename = shape.rename
+    for tree in body + ([cond] if cond is not None else []):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                node.id = rename[node.id]
+    binder = _Binder(shape)
+    body = _rewrite_stmts(body, binder, set())
+    cond_def = None
+    if cond is not None:
+        binder.uses_now = binder.uses_step = False
+        cond_expr = _Rewriter(binder, set()).visit(cond)
+        prologue = []
+        if binder.uses_now:
+            prologue += ast.parse("now = T[0]").body
+        if binder.uses_step:
+            prologue += ast.parse("step = T[1]").body
+        cond_def = prologue + [ast.Return(value=cond_expr)]
+    params = ["_s%d" % k for k in range(len(shape.signals))]
+    params += ["_e_" + name for name in binder.env]
+    resume = "_p%d" % tid
+    defs.append(_def(resume, ["now", "step"] + params, body))
+    cond_name = None
+    if cond_def is not None:
+        cond_name = "_c%d" % tid
+        defs.append(_def(cond_name, params, cond_def))
+    return _Template(resume, cond_name, tuple(binder.env),
+                     _body_is_pure(body))
+
+
 def _render_all(kernel, analyses, slot_indices, stats):
-    """Render every analyzed process; returns (plans, defs, demoted)."""
+    """Render one template per shape and plan every analyzed process
+    against it; returns (plans, defs, demoted).  A shape's rejection
+    is cached with it and demotes every process of that shape."""
     from .runtime import ops as ops_obj
 
     plans = {}
     defs = []
     demoted = []
+    templates = {}  # shape key -> _Template, or the Reject reason
     for proc in sorted(analyses, key=lambda p: p.index):
         analysis = analyses[proc]
-        pid = proc.index
-        binder = _Binder(proc, pid, kernel, ops_obj)
         try:
-            # Deep-copy before rewriting: multiple instances of one
-            # architecture share the parsed AST, and the rewriter
-            # mutates nodes in place — each instance must specialize
-            # against its *own* bound signals.
-            body = _rewrite_stmts(copy.deepcopy(analysis.body), binder,
-                                  slot_indices, set())
-            cond_name = None
-            cond_defs = []
-            if analysis.cond_lambda is not None:
-                cbinder_uses = (binder.uses_now, binder.uses_step)
-                binder.uses_now = binder.uses_step = False
-                cond_expr = _Rewriter(binder, set()).visit(
-                    copy.deepcopy(analysis.cond_lambda.body))
-                prologue = []
-                if binder.uses_now:
-                    prologue += ast.parse("now = T[0]").body
-                if binder.uses_step:
-                    prologue += ast.parse("step = T[1]").body
-                cond_name = "_c%d" % pid
-                cond_defs = [_def(cond_name, (),
-                                  prologue
-                                  + [ast.Return(value=cond_expr)])]
-                binder.uses_now, binder.uses_step = cbinder_uses
+            shape = _Shape(analysis, kernel, slot_indices, ops_obj)
+            template = templates.get(shape.key)
+            if template is None:
+                try:
+                    template = _render_template(
+                        analysis, shape, len(templates), defs)
+                except Reject as rej:
+                    template = rej.reason
+                templates[shape.key] = template
+            if isinstance(template, str):
+                raise Reject(template)
         except Reject as rej:
             stats["reject_%s" % rej.reason] += 1
             demoted.append(proc)
             continue
-        resume_name = "_p%d" % pid
-        defs.append(_def(resume_name, ("now", "step"), body))
-        defs.extend(cond_defs)
-        plans[pid] = ProcPlan(
-            pid, resume_name, cond_name, analysis.init_runs_body,
-            [s.index for s in analysis.wait_signals], binder.env,
-            pure=_body_is_pure(body))
+        plans[proc.index] = ProcPlan(
+            proc.index, template.resume, template.cond,
+            analysis.init_runs_body,
+            [s.index for s in analysis.wait_signals],
+            [s.index for s in shape.signals], template.env,
+            pure=template.pure)
     return plans, defs, demoted
 
 

@@ -3,8 +3,11 @@
 :class:`CompiledKernel` closes the source paper's compile-to-code
 story: where the generated C of the paper's pipeline was specialized
 per design and compiled by the host compiler, this kernel takes the
-elaborator's records plus the PR-9 ``DesignGraph``/levelization and
-``exec()``\\ s a module rendered by :mod:`repro.sim.codegen`:
+elaborator's records plus the netlist ``DesignGraph``/levelization,
+``exec()``\\ s the template module rendered by
+:mod:`repro.sim.codegen` (one function per process shape) and makes
+each compiled process's function from its template's code object,
+with the instance's signal indices and captured values as defaults:
 
 - compiled processes are plain functions dispatched directly (no
   generator resumption, no ``RT`` attribute chains), reached through
@@ -28,7 +31,7 @@ metric families match the event backend bit for bit (pinned by
 leg).  Only the ``sim_calendar_*`` cost telemetry may differ — it
 describes the scheduler, not the simulated design.
 
-Compiled code objects are cached by design fingerprint (sources +
+Compiled template modules are cached by design fingerprint (sources +
 elaborated topology, **never** elaboration-time values; generic-folded
 constants are re-captured from process closures at bind time), so
 re-elaborating the same design skips codegen entirely.
@@ -37,6 +40,7 @@ re-elaborating the same design skips codegen entirely.
 import heapq
 import time as _time
 from collections import OrderedDict
+from types import FunctionType
 
 from .codegen import _MISSING, build_program, capture, design_fingerprint
 from .kernel import Kernel, SimulationError, _process_order
@@ -114,17 +118,21 @@ class CompiledKernel(Kernel):
             raise SimulationError(
                 "compile_design must run before the first cycle")
         t0 = _time.perf_counter()
+        # One parse per unit model, shared by the netlist extraction
+        # and codegen; the trees go with this call.
+        trees = {}
         if graph is None:
             from ..analysis.netlist import build_netlist
 
-            graph = build_netlist(records)
+            graph = build_netlist(records, trees=trees)
         from ..analysis.dataflow import levelize
 
         _levels, _order, cyclic = levelize(graph)
         fingerprint = design_fingerprint(records, self)
         program = _PROGRAM_CACHE.get(fingerprint)
         if program is None:
-            program = build_program(self, records, graph, cyclic)
+            program = build_program(self, records, graph, cyclic,
+                                    trees)
             _PROGRAM_CACHE[fingerprint] = program
             while len(_PROGRAM_CACHE) > _PROGRAM_CACHE_CAP:
                 _PROGRAM_CACHE.popitem(last=False)
@@ -136,9 +144,11 @@ class CompiledKernel(Kernel):
 
     def _bind(self, program):
         """Instantiate a (possibly cached) Program against *this*
-        elaboration: re-capture environment values from the process
-        closures (generics change values, never source), exec the
-        module, install permanent waits and static fanout."""
+        elaboration: exec the template module once, make each
+        instance's functions from its template's code object with the
+        instance's signal indices and re-captured environment values
+        (generics change values, never source) as defaults, install
+        permanent waits and static fanout."""
         self.program = program
         n = len(self.signals)
         values = [sig.value for sig in self.signals]
@@ -153,33 +163,37 @@ class CompiledKernel(Kernel):
             "_H": slot_heap, "_hpush": heapq.heappush,
             "rt": self.rt, "ops": ops,
         }
-        by_index = {proc.index: proc for proc in self.processes}
-        for plan in program.plans.values():
-            proc = by_index.get(plan.proc_index)
-            if proc is None or proc.fn is None:
-                raise SimulationError(
-                    "compiled program does not match this elaboration")
-            for mangled, orig in plan.env.items():
-                value = capture(proc.fn, orig)
-                if value is _MISSING:
-                    raise SimulationError(
-                        "cannot re-capture %r for process %r"
-                        % (orig, proc.name))
-                namespace[mangled] = value
         exec(program.code, namespace)
+        by_index = {proc.index: proc for proc in self.processes}
         cmap = {}
         pure_map = {}
         init_map = {}
         static = self._static_waiters
         for plan in program.plans.values():
-            proc = by_index[plan.proc_index]
-            fn = namespace[plan.resume]
+            proc = by_index.get(plan.proc_index)
+            if proc is None or proc.fn is None:
+                raise SimulationError(
+                    "compiled program does not match this elaboration")
+            args = list(plan.args)
+            for name in plan.env:
+                value = capture(proc.fn, name)
+                if value is _MISSING:
+                    raise SimulationError(
+                        "cannot re-capture %r for process %r"
+                        % (name, proc.name))
+                args.append(value)
+            args = tuple(args)
+            fn = FunctionType(namespace[plan.resume].__code__,
+                              namespace, plan.resume, args)
             cmap[plan.proc_index] = fn
             if plan.pure:
                 pure_map[plan.proc_index] = fn
             init_map[plan.proc_index] = (
                 fn if plan.init_runs_body else _noop)
-            cond = namespace[plan.cond] if plan.cond else None
+            cond = None
+            if plan.cond:
+                cond = FunctionType(namespace[plan.cond].__code__,
+                                    namespace, plan.cond, args)
             wait_sigs = [self.signals[i] for i in plan.wait_indices]
             # The permanent wait: compiled processes always loop back
             # to the same suspension, so it is installed once and the
@@ -206,7 +220,7 @@ class CompiledKernel(Kernel):
                     break
                 proc = by_index[plan.proc_index]
                 rows.setdefault(plan.wait_indices[0], []).append(
-                    (proc.index, proc, namespace[plan.resume]))
+                    (proc.index, proc, cmap[plan.proc_index]))
             if rows is not None:
                 for lst in rows.values():
                     lst.sort()

@@ -426,6 +426,7 @@ class DesignRun:
             return None
         return {"seconds": round(kernel.codegen_seconds, 6),
                 "compiled_procs": kernel.compiled_procs,
+                "templates": kernel.program.stats["templates"],
                 "slot_signals": kernel.slot_signals}
 
     def vcd(self):

@@ -239,3 +239,175 @@ class TestProgramCache:
         kernel.initialize()
         with pytest.raises(Exception):
             kernel.compile_design(sim.records)
+
+
+# -- template keys -------------------------------------------------------------
+#
+# Codegen renders one template per process *shape* and binds each
+# instance to it by data (signal indices, re-captured environment
+# values).  Each test pins one input the shape key must carry — or
+# must leave out — and checks the compiled run against the event
+# kernel down to the VCD bytes.
+
+
+def _specialize(library, top):
+    kernel = CompiledKernel()
+    sim = Elaborator(library, kernel=kernel).elaborate(top)
+    return kernel, kernel.compile_design(sim.records)
+
+
+def _plan(kernel, program, suffix):
+    (proc,) = [p for p in kernel.processes if p.name.endswith(suffix)]
+    return program.plans[proc.index]
+
+
+def _assert_same_as_event_kernel(library, top, until_ns):
+    until_fs = until_ns * 10**6
+    event = _simulate("event", library, top, until_fs)
+    compiled = _simulate("compiled", library, top, until_fs)
+    assert event.get("error") is None
+    assert compiled.get("error") is None
+    assert _compare(event, compiled, "Kernel", "CompiledKernel") is None
+    assert event["vcd"] == compiled["vcd"]
+    return compiled
+
+
+GENERIC_PAIR = """
+entity scale is
+  generic ( k : integer := 1 );
+  port ( x : in integer; y : out integer );
+end scale;
+architecture rtl of scale is
+begin
+  p : process (x) begin y <= x + k after 1 ns; end process;
+end rtl;
+
+entity gpair is end gpair;
+architecture rtl of gpair is
+  component scale
+    generic ( k : integer := 1 );
+    port ( x : in integer; y : out integer );
+  end component;
+  signal cnt : integer := 0;
+  signal y3 : integer := 0;
+  signal y5 : integer := 0;
+begin
+  clock : process begin wait for 5 ns; cnt <= cnt + 1; end process;
+  u3 : scale generic map (k => 3) port map (x => cnt, y => y3);
+  u5 : scale generic map (k => 5) port map (x => cnt, y => y5);
+end rtl;
+"""
+
+SLOT_AND_RESOLVED = """
+entity twins is end twins;
+architecture rtl of twins is
+  function wired_or (bits : bit_vector) return bit is
+  begin
+    for i in bits'range loop
+      if bits(i) = '1' then
+        return '1';
+      end if;
+    end loop;
+    return '0';
+  end wired_or;
+  subtype rbit is wired_or bit;
+  signal a : bit := '0';
+  signal plain : bit := '0';
+  signal wired : rbit := '0';
+begin
+  -- Textually identical bodies: ``plain`` has one compiled driver
+  -- (slot storage), ``wired`` is resolved and driven twice.
+  p_plain : process (a) begin plain <= a after 1 ns; end process;
+  p_wired : process (a) begin wired <= a after 1 ns; end process;
+  other : process begin
+    wired <= '1' after 12 ns, '0' after 30 ns;
+    wait;
+  end process;
+  stim : process begin
+    a <= '1' after 5 ns, '0' after 20 ns, '1' after 40 ns;
+    wait;
+  end process;
+end rtl;
+"""
+
+ALIASED_PORTS = """
+entity pair is
+  port ( a : in integer; b : in integer; y : out integer );
+end pair;
+architecture rtl of pair is
+begin
+  p : process (a, b) begin y <= a * 10 + b after 1 ns; end process;
+end rtl;
+
+entity alias_top is end alias_top;
+architecture rtl of alias_top is
+  component pair
+    port ( a : in integer; b : in integer; y : out integer );
+  end component;
+  signal s : integer := 0;
+  signal t : integer := 0;
+  signal same : integer := 0;
+  signal apart : integer := 0;
+begin
+  stim : process begin
+    wait for 5 ns; s <= s + 1;
+    wait for 5 ns; t <= t + 2;
+  end process;
+  u_same : pair port map (a => s, b => s, y => same);
+  u_apart : pair port map (a => s, b => t, y => apart);
+end rtl;
+"""
+
+
+class TestTemplateKeys:
+    def test_generic_values_share_a_template(self):
+        # (a) generics are re-captured per instance at bind time,
+        # never baked into the shared template.
+        library = compile_lib(GENERIC_PAIR)
+        kernel, program = _specialize(library, "gpair")
+        u3 = _plan(kernel, program, "u3:p")
+        u5 = _plan(kernel, program, "u5:p")
+        assert u3.resume == u5.resume
+        compiled = _assert_same_as_event_kernel(library, "gpair", 50)
+        values = dict(compiled["values"])
+        assert values[":gpair:y3"] != values[":gpair:y5"]
+
+    def test_slot_flag_splits_identical_bodies(self):
+        # (b) one body, two templates: the slot write for ``plain``
+        # would bypass resolution if ``wired`` reused it.
+        library = compile_lib(SLOT_AND_RESOLVED)
+        kernel, program = _specialize(library, "twins")
+        plain = _plan(kernel, program, "p_plain")
+        wired = _plan(kernel, program, "p_wired")
+        slots = program.slot_indices
+        assert plain.args[0] in slots
+        assert wired.args[0] not in slots
+        assert plain.resume != wired.resume
+        _assert_same_as_event_kernel(library, "twins", 60)
+
+    def test_ports_mapped_to_one_actual(self):
+        # (c) ``u_same`` binds both port parameters to one signal;
+        # ``u_apart`` binds two, through the same template.
+        library = compile_lib(ALIASED_PORTS)
+        kernel, program = _specialize(library, "alias_top")
+        same = _plan(kernel, program, "u_same:p")
+        apart = _plan(kernel, program, "u_apart:p")
+        assert same.resume == apart.resume
+        assert len(set(same.args)) < len(set(apart.args))
+        _assert_same_as_event_kernel(library, "alias_top", 60)
+
+    def test_template_module_does_not_grow_with_instances(self):
+        # (d) codegen output is a function of the distinct shapes,
+        # not of the instance count.
+        from repro.metrics.benchcheck import ring_vhdl
+
+        sizes = []
+        for n in (8, 64):
+            library = compile_lib(ring_vhdl(n, 2))
+            kernel, program = _specialize(library, "ring")
+            assert program.stats["compiled"] == n
+            sizes.append((program.stats["templates"],
+                          len(program.source)))
+        assert sizes[0] == sizes[1]
+        _assert_same_as_event_kernel(compile_lib(ring_vhdl(8, 2)),
+                                     "ring", 40)
