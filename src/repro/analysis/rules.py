@@ -36,9 +36,9 @@ loop can never execute.
 
 AG-spec rules lint a :class:`repro.ag.spec.CompiledAG` — the
 methodology half of the paper: ``RPA001`` declared-but-never-computed
-attributes, ``RPA002`` computed-but-never-read attributes, ``RPA003``
-the absolutely-noncircular test surfaced as a diagnostic instead of
-an exception.
+attributes, ``RPA002`` attributes whose value never reaches a goal,
+``RPA003`` the absolutely-noncircular test surfaced as a diagnostic
+instead of an exception.
 """
 
 from ..diag import Diagnostic, SourceSpan
@@ -392,31 +392,43 @@ class AttrDeclaredNeverComputed(AGRule):
 
 
 @register
-class AttrComputedNeverRead(AGRule):
+class AttrNeverReachesGoal(AGRule):
     id = "RPA002"
     severity = WARNING
-    summary = ("attribute is computed but no semantic rule or goal "
-               "ever reads it")
+    summary = "attribute is computed but its value never reaches a goal"
 
     def check(self, compiled, ctx):
+        # Symbol-level liveness: a fixpoint backwards from the goal
+        # attributes over every rule's dependencies, implicit rules
+        # included, so a value only copied along a chain is still dead.
         grammar = compiled.grammar
-        read = set()  # (symbol name, attr)
-        for prod in grammar.productions:
-            for rule in compiled.rules_of(prod).values():
+        start = grammar.start
+        if start is None:
+            return
+        goals = getattr(ctx, "goals", ()) or [
+            # no goals named: every root output is one
+            d.name for d in compiled.attr_table.synthesized(start)]
+        live = {(start.name, attr) for attr in goals}
+        rules = [rule for prod in grammar.productions
+                 for rule in compiled.rules_of(prod).values()]
+        changed = True
+        while changed:
+            changed = False
+            for rule in rules:
+                target = rule.target
+                if (target.symbol.name, target.attr) not in live:
+                    continue
                 for dep in rule.deps:
-                    if not dep.symbol.is_terminal:
-                        read.add((dep.symbol.name, dep.attr))
-        goals = set(getattr(ctx, "goals", ()) or ())
-        start = grammar.start.name if grammar.start is not None else None
+                    key = (dep.symbol.name, dep.attr)
+                    if not dep.symbol.is_terminal and key not in live:
+                        live.add(key)
+                        changed = True
         for sym in grammar.nonterminals:
             for attr in sorted(compiled.attr_table.of(sym)):
-                if (sym.name, attr) in read:
-                    continue
-                if sym.name == start and (not goals or attr in goals):
-                    continue  # root attributes are the outputs
-                yield self.diag(
-                    "attribute %s.%s is computed but never read"
-                    % (sym.name, attr))
+                if (sym.name, attr) not in live:
+                    yield self.diag(
+                        "attribute %s.%s never reaches a goal"
+                        % (sym.name, attr))
 
 
 @register

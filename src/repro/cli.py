@@ -520,14 +520,13 @@ def _builtin_ag(name):
     """The built-in grammars ``repro lint --ag`` can check, with
     their evaluation-entry exemptions."""
     if name == "principal":
-        from .vhdl.grammar import principal_grammar
+        from .vhdl import grammar as module
 
-        return (principal_grammar(),
-                ("ENV", "CC", "LEVEL", "RESULT", "SCOPE"),
-                ("UNITS", "MSGS"))
-    from .vhdl.expr_grammar import expr_grammar
+        return module.principal_grammar(), module.ENTRY_INHERITED, \
+            module.GOALS
+    from .vhdl import expr_grammar as module
 
-    return expr_grammar(), ("ENV", "CTX"), ("GOAL",)
+    return module.expr_grammar(), module.ENTRY_INHERITED, module.GOALS
 
 
 def cmd_lint(args, out):

@@ -19,7 +19,7 @@ from ..ag.errors import AGError
 from ..diag import AGObserver, DiagnosticEngine, Tracer
 from .codegen.pymodel import compile_model
 from .compile_ctx import CompileCtx
-from .grammar import principal_grammar
+from .grammar import ENTRY_INHERITED, GOALS, principal_grammar
 from .lexer import scan
 from .library import LibraryManager
 
@@ -160,14 +160,8 @@ class Compiler:
             try:
                 out = grammar.evaluate(
                     tree,
-                    inherited={
-                        "ENV": None,
-                        "CC": cc,
-                        "LEVEL": 0,
-                        "RESULT": None,
-                        "SCOPE": "",
-                    },
-                    goals=["UNITS", "MSGS"],
+                    inherited=dict.fromkeys(ENTRY_INHERITED, cc),
+                    goals=GOALS,
                     observer=self.observer,
                 )
             except AGError as exc:

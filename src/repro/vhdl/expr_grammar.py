@@ -97,17 +97,15 @@ def _make_grammar():
     g.precedence("nonassoc", "POW")
     g.precedence("left", "NOT", "ABS")
 
-    g.attr_class("ENV", INH)
     g.attr_class("CTX", INH)
-    g.attr_group("X", "ENV", "CTX")
 
-    g.nonterminal("goal", ("GOAL", SYN), "X")
+    g.nonterminal("goal", ("GOAL", SYN), "CTX")
     for nt in ("e", "primary", "paren", "name", "base_name", "obj_name",
                "fcall", "conv", "qual", "tattr", "range_spec",
                "case_choice", "choice"):
-        g.nonterminal(nt, ("SEM", SYN), "X")
-    g.nonterminal("items", ("ITEMS", SYN), "X")
-    g.nonterminal("choice_list", ("CHOICES", SYN), "X")
+        g.nonterminal(nt, ("SEM", SYN), "CTX")
+    g.nonterminal("items", ("ITEMS", SYN), "CTX")
+    g.nonterminal("choice_list", ("CHOICES", SYN), "CTX")
     g.set_start("goal")
 
     # ---- goals -----------------------------------------------------------
@@ -258,7 +256,7 @@ def _make_grammar():
 
     # ---- item lists (arguments, aggregates, indexes, slices) ------------------
 
-    g.nonterminal("item", ("ITEM", SYN), "X")
+    g.nonterminal("item", ("ITEM", SYN), "CTX")
     p = g.production("items_one", "items -> item")
     p.rule("items.ITEMS", "item.ITEM", fn=lambda it: (it,))
     p = g.production("items_more", "items -> items0 COMMA item")
@@ -352,6 +350,11 @@ def _range_with_mark(direction):
 
 _GRAMMAR = None
 
+#: Start-symbol inherited attributes the evaluation entry supplies.
+ENTRY_INHERITED = ("CTX",)
+#: Root attributes ``exprEval`` reads back after evaluation.
+GOALS = ("GOAL",)
+
 
 def expr_grammar():
     """The compiled expression AG (built once per session, like the
@@ -372,7 +375,7 @@ class ExprEvaluator:
     """
 
     def __init__(self, std, unit_resolver=None):
-        self.sub = SubEvaluator(expr_grammar(), goals=["GOAL"])
+        self.sub = SubEvaluator(expr_grammar(), goals=GOALS)
         self.std = std
         self.unit_resolver = unit_resolver
 
@@ -388,7 +391,7 @@ class ExprEvaluator:
         tokens = [mode_token(mode, line)] + list(lef_tokens)
         result = self.sub.try_call(
             tokens,
-            inherited={"ENV": env, "CTX": ctx},
+            inherited=dict.fromkeys(ENTRY_INHERITED, ctx),
             on_error=lambda exc: {"GOAL": {
                 "kind": "error", "ok": False, "code": "None",
                 "type": None, "val": None, "has_val": False, "sigs": [],

@@ -19,9 +19,16 @@ Attribute classes (all completed by implicit rules, §4.2):
 ``CS``     syn    concurrent-statement results; merge = CStmt.merge
 ``ENV``    inh    the applicative environment (§4.3)
 ``CC``     inh    the compilation context (services)
-``LEVEL``  inh    subprogram nesting level
 ``RESULT`` inh    expected function-result type (for return)
+``SCOPE``  inh    name prefix of code generated inside a package
 =========  =====  ==================================================
+
+Each symbol carries only the attributes whose values can reach a goal
+(lint rule RPA002 checks this).  ``CC`` lives on the units, the
+declarations, the statements and the few phrases whose rules call a
+compilation service themselves (subtype indications, constraints,
+interfaces, configuration items); the expression soup and the lists
+that only carry expressions to those rules take ``ENV`` alone.
 """
 
 from ..ag import AGSpec, SYN, INH
@@ -67,48 +74,45 @@ def _declare_vocabulary(g):
     g.attr_class("CS", SYN, merge=CStmt.merge, unit=U.CSTMT_EMPTY)
     g.attr_class("ENV", INH)
     g.attr_class("CC", INH)
-    g.attr_class("LEVEL", INH)
     g.attr_class("RESULT", INH)
     g.attr_class("SCOPE", INH)
 
     g.attr_group("CTXA", "ENV", "CC")
-    g.attr_group("SOUP", "LEF", "CTXA")
-    g.attr_group("STMTA", "SRES", "CTXA", "LEVEL", "RESULT")
-    g.attr_group("DECLA", "MSGS", "CTXA", "LEVEL", "SCOPE")
+    g.attr_group("STMTA", "CTXA", "RESULT")
 
     # expression soup
     for nt in ("xp", "xtoks", "xtok", "inner", "initem", "nsoup"):
-        g.nonterminal(nt, "SOUP")
-    g.nonterminal("xp_opt", ("OPT", SYN), "CTXA")
+        g.nonterminal(nt, "LEF", "ENV")
+    g.nonterminal("xp_opt", ("OPT", SYN), "ENV")
 
     # statements
-    g.nonterminal("stmts", "STMTA")
-    g.nonterminal("stmt", "STMTA")
+    g.nonterminal("stmts", "SRES", "STMTA")
+    g.nonterminal("stmt", "SRES", "STMTA")
     g.nonterminal("elsifs", ("ARMS", SYN), "STMTA")
     g.nonterminal("else_opt", ("BODY", SYN), "STMTA")
     g.nonterminal("case_alts", ("ALTS", SYN), "STMTA")
     g.nonterminal("case_alt", ("ALT", SYN), "STMTA")
-    g.nonterminal("choices", ("CHS", SYN), "CTXA")
-    g.nonterminal("choice", ("CH", SYN), "CTXA")
-    g.nonterminal("when_opt", ("COND", SYN), "CTXA")
-    g.nonterminal("wave", ("WAVE", SYN), "CTXA")
-    g.nonterminal("wave_elem", ("WELEM", SYN), "CTXA")
-    g.nonterminal("wave_opts", ("WAVET", SYN), "CTXA")
-    g.nonterminal("name_list", ("NAMES", SYN), "CTXA")
-    g.nonterminal("wait_on_opt", ("NAMES", SYN), "CTXA")
-    g.nonterminal("wait_until_opt", ("OPT", SYN), "CTXA")
-    g.nonterminal("wait_for_opt", ("OPT", SYN), "CTXA")
-    g.nonterminal("report_opt", ("OPT", SYN), "CTXA")
-    g.nonterminal("severity_opt", ("OPT", SYN), "CTXA")
+    g.nonterminal("choices", ("CHS", SYN), "ENV")
+    g.nonterminal("choice", ("CH", SYN), "ENV")
+    g.nonterminal("when_opt", ("COND", SYN), "ENV")
+    g.nonterminal("wave", ("WAVE", SYN), "ENV")
+    g.nonterminal("wave_elem", ("WELEM", SYN), "ENV")
+    g.nonterminal("wave_opts", ("WAVET", SYN), "ENV")
+    g.nonterminal("name_list", ("NAMES", SYN), "ENV")
+    g.nonterminal("wait_on_opt", ("NAMES", SYN), "ENV")
+    g.nonterminal("wait_until_opt", ("OPT", SYN), "ENV")
+    g.nonterminal("wait_for_opt", ("OPT", SYN), "ENV")
+    g.nonterminal("report_opt", ("OPT", SYN), "ENV")
+    g.nonterminal("severity_opt", ("OPT", SYN), "ENV")
 
     # declarations
-    g.nonterminal("decls", ("RES", SYN), "DECLA", "RESULT")
-    g.nonterminal("decl", ("RES", SYN), "DECLA", "RESULT")
+    g.nonterminal("decls", ("RES", SYN), "CTXA", "SCOPE")
+    g.nonterminal("decl", ("RES", SYN), "CTXA", "SCOPE")
     g.nonterminal("idlist", ("IDS", SYN))
     g.nonterminal("mark", ("PARTS", SYN), ("LINE", SYN))
     g.nonterminal("sub_ind", ("SUB", SYN), "CTXA")
     g.nonterminal("constraint_opt", ("CONSTR", SYN), "CTXA")
-    g.nonterminal("init_opt", ("OPT", SYN), "CTXA")
+    g.nonterminal("init_opt", ("OPT", SYN), "ENV")
     g.nonterminal("enum_lits", ("LITS", SYN))
     g.nonterminal("rec_fields", ("FIELDS", SYN), "CTXA")
     g.nonterminal("iface_list", ("IFACE", SYN), "CTXA")
@@ -124,20 +128,20 @@ def _declare_vocabulary(g):
     g.nonterminal("arch_ind_opt", ("NAME", SYN))
 
     # concurrent statements
-    g.nonterminal("cstmts", "CS", "CTXA", "LEVEL")
-    g.nonterminal("cstmt", "CS", "CTXA", "LEVEL")
-    g.nonterminal("cstmt_body", "CS", ("LABEL", INH), "CTXA", "LEVEL")
-    g.nonterminal("sens_opt", ("NAMES", SYN), "CTXA")
-    g.nonterminal("gmap_opt", ("ASSOCS", SYN), "CTXA")
-    g.nonterminal("pmap_opt", ("ASSOCS", SYN), "CTXA")
-    g.nonterminal("assoc_list", ("ASSOCS", SYN), "CTXA")
-    g.nonterminal("assoc", ("ASSOC", SYN), "CTXA")
-    g.nonterminal("cond_waves", ("ARMS", SYN), "CTXA")
-    g.nonterminal("sel_waves", ("ARMS", SYN), "CTXA")
+    g.nonterminal("cstmts", "CS", "CTXA")
+    g.nonterminal("cstmt", "CS", "CTXA")
+    g.nonterminal("cstmt_body", "CS", ("LABEL", INH), "CTXA")
+    g.nonterminal("sens_opt", ("NAMES", SYN), "ENV")
+    g.nonterminal("gmap_opt", ("ASSOCS", SYN), "ENV")
+    g.nonterminal("pmap_opt", ("ASSOCS", SYN), "ENV")
+    g.nonterminal("assoc_list", ("ASSOCS", SYN), "ENV")
+    g.nonterminal("assoc", ("ASSOC", SYN), "ENV")
+    g.nonterminal("cond_waves", ("ARMS", SYN), "ENV")
+    g.nonterminal("sel_waves", ("ARMS", SYN), "ENV")
 
     # units
-    g.nonterminal("design_file", ("UNITS", SYN), "MSGS", "CTXA")
-    g.nonterminal("design_units", ("UNITS", SYN), "MSGS", "CTXA")
+    g.nonterminal("design_file", ("UNITS", SYN), "MSGS", "CC")
+    g.nonterminal("design_units", ("UNITS", SYN), "MSGS", "CC")
     g.nonterminal("design_unit", ("UNIT", SYN), "MSGS", "CTXA")
     g.nonterminal("context_items", ("RES", SYN), ("CLAUSES", SYN),
                   "MSGS", "CTXA")
@@ -152,8 +156,8 @@ def _declare_vocabulary(g):
     g.nonterminal("gen_clause_opt", ("IFACE", SYN), "CTXA")
     g.nonterminal("port_clause_opt", ("IFACE", SYN), "CTXA")
     g.nonterminal("id_opt", ("NAME", SYN))
-    g.nonterminal("config_items", ("BINDS", SYN), "CTXA")
-    g.nonterminal("config_item", ("BIND", SYN), "CTXA")
+    g.nonterminal("config_items", ("BINDS", SYN), "CC")
+    g.nonterminal("config_item", ("BIND", SYN), "CC")
 
     g.set_start("design_file")
 
@@ -503,12 +507,9 @@ def _decl_productions(g):
            "params_opt.IFACE", "mark.PARTS", "decl.CC",
            "kw_function.line", "decl.SCOPE",
            fn=_subprog_inner_env("function"))
-    p.rule("decls.LEVEL", "decl.LEVEL", fn=lambda lv: lv + 1)
     p.rule("stmts.ENV", "decls.RES", fn=lambda res: res.env)
-    p.rule("stmts.LEVEL", "decl.LEVEL", fn=lambda lv: lv + 1)
     p.rule("stmts.RESULT", "mark.PARTS", "decl.ENV", "decl.CC",
            "kw_function.line", fn=_result_type)
-    p.rule("decls.RESULT", "decl.RESULT", fn=lambda r: r)
     p.rule("decl.RES", "designator.NAME", "params_opt.IFACE",
            "mark.PARTS", "decls.RES", "stmts.SRES", "decl.ENV",
            "decl.CC", "kw_function.line", "decl.SCOPE",
@@ -520,11 +521,8 @@ def _decl_productions(g):
     p.rule("decls.ENV", "decl.ENV", "designator.NAME",
            "params_opt.IFACE", "decl.CC", "kw_procedure.line",
            "decl.SCOPE", fn=_subprog_inner_env_proc)
-    p.rule("decls.LEVEL", "decl.LEVEL", fn=lambda lv: lv + 1)
     p.rule("stmts.ENV", "decls.RES", fn=lambda res: res.env)
-    p.rule("stmts.LEVEL", "decl.LEVEL", fn=lambda lv: lv + 1)
     p.rule("stmts.RESULT", fn=lambda: None)
-    p.rule("decls.RESULT", "decl.RESULT", fn=lambda r: r)
     p.rule("decl.RES", "designator.NAME", "params_opt.IFACE",
            "decls.RES", "stmts.SRES", "decl.ENV", "decl.CC",
            "kw_procedure.line", "decl.SCOPE",
@@ -1006,7 +1004,6 @@ def _cstmt_productions(g):
         "cstmt_body -> kw_process sens_opt decls kw_begin stmts "
         "kw_end kw_process id_opt SEMI")
     p.rule("decls.ENV", "cstmt_body.ENV", fn=lambda env: env.enter_scope())
-    p.rule("decls.RESULT", fn=lambda: None)
     p.rule("decls.SCOPE", fn=lambda: "")
     p.rule("stmts.ENV", "decls.RES", fn=lambda res: res.env)
     p.rule("stmts.RESULT", fn=lambda: None)
@@ -1125,7 +1122,6 @@ def _cstmt_productions(g):
         "id_opt SEMI")
     p.rule("decls.ENV", "cstmt_body.ENV",
            fn=lambda env: env.enter_scope())
-    p.rule("decls.RESULT", fn=lambda: None)
     p.rule("decls.SCOPE", fn=lambda: "")
     p.rule("cstmts.ENV", "decls.RES", fn=lambda res: res.env)
     p.rule("cstmt_body.CS", "cstmt_body.LABEL", "decls.RES",
@@ -1142,7 +1138,6 @@ def _cstmt_productions(g):
            "kw_block0.line",
            fn=lambda env, label, ln: _guard_env(
                env, label or "blk_l%d" % ln))
-    p.rule("decls.RESULT", fn=lambda: None)
     p.rule("decls.SCOPE", fn=lambda: "")
     p.rule("cstmts.ENV", "decls.RES", fn=lambda res: res.env)
     p.rule("cstmt_body.CS", "cstmt_body.LABEL", "xp.LEF", "decls.RES",
@@ -1281,8 +1276,10 @@ def _unit_productions(g):
            "port_clause_opt.IFACE", "entity_unit.CC",
            "kw_entity.line", fn=_build_entity)
     p.rule("entity_unit.MSGS", "entity_unit.UNIT", "gen_clause_opt.IFACE",
-           "port_clause_opt.IFACE",
-           fn=lambda unit, gi, pi: _iface_msgs(gi) + _iface_msgs(pi))
+           "port_clause_opt.IFACE", "ID.value", "id_opt.NAME",
+           fn=lambda unit, gi, pi, name, closing: (
+               _iface_msgs(gi) + _iface_msgs(pi)
+               + _closing_msgs("entity", name, closing, unit.line)))
     p = g.production("gen_clause_none", "gen_clause_opt ->")
     p.const("gen_clause_opt.IFACE", ())
     p = g.production(
@@ -1303,17 +1300,15 @@ def _unit_productions(g):
         "kw_begin cstmts kw_end id_opt SEMI")
     p.rule("decls.ENV", "arch_unit.ENV", "ID1.value", "arch_unit.CC",
            fn=_arch_decl_env)
-    p.rule("decls.RESULT", fn=lambda: None)
     p.rule("decls.SCOPE", fn=lambda: "")
-    p.rule("decls.LEVEL", fn=lambda: 0)
     p.rule("cstmts.ENV", "decls.RES", fn=lambda res: res.env)
-    p.rule("cstmts.LEVEL", fn=lambda: 0)
     p.rule("arch_unit.BUILD", "ID0.value", "ID1.value", "decls.RES",
            "cstmts.CS", "arch_unit.ENV", "arch_unit.CC",
            "kw_architecture.line", fn=_build_arch)
     p.rule("arch_unit.UNIT", "arch_unit.BUILD", fn=lambda b: b[0])
-    p.rule("arch_unit.MSGS", "arch_unit.BUILD",
-           fn=lambda b: tuple(b[1]))
+    p.rule("arch_unit.MSGS", "arch_unit.BUILD", "ID0.value", "id_opt.NAME",
+           fn=lambda b, name, closing: tuple(b[1]) + _closing_msgs(
+               "architecture", name, closing, b[0].line))
 
     # package / package body -----------------------------------------------------------------
     p = g.production(
@@ -1321,26 +1316,24 @@ def _unit_productions(g):
         "package_unit -> kw_package ID kw_is decls kw_end id_opt SEMI")
     p.rule("decls.ENV", "package_unit.ENV",
            fn=lambda env: env.enter_scope())
-    p.rule("decls.RESULT", fn=lambda: None)
     p.rule("decls.SCOPE", "ID.value", fn=lambda n: "pkg_%s_" % n)
-    p.rule("decls.LEVEL", fn=lambda: 0)
     p.rule("package_unit.BUILD", "ID.value", "decls.RES",
            "package_unit.ENV", "package_unit.CC", "kw_package.line",
            fn=lambda name, decls, env, cc, ln: U.package_unit(
                name, decls, decls.env, cc, ln))
     p.rule("package_unit.UNIT", "package_unit.BUILD",
            fn=lambda b: b[0])
-    p.rule("package_unit.MSGS", "package_unit.BUILD",
-           fn=lambda b: tuple(b[1]))
+    p.rule("package_unit.MSGS", "package_unit.BUILD", "ID.value",
+           "id_opt.NAME",
+           fn=lambda b, name, closing: tuple(b[1]) + _closing_msgs(
+               "package", name, closing, b[0].line))
     p = g.production(
         "package_body",
         "package_body_unit -> kw_package kw_body ID kw_is decls "
         "kw_end id_opt SEMI")
     p.rule("decls.ENV", "package_body_unit.ENV", "ID.value",
            "package_body_unit.CC", fn=_package_body_env)
-    p.rule("decls.RESULT", fn=lambda: None)
     p.rule("decls.SCOPE", "ID.value", fn=lambda n: "pkg_%s_" % n)
-    p.rule("decls.LEVEL", fn=lambda: 0)
     p.rule("package_body_unit.BUILD", "ID.value", "decls.RES",
            "package_body_unit.ENV", "package_body_unit.CC",
            "kw_package.line",
@@ -1349,7 +1342,9 @@ def _unit_productions(g):
     p.rule("package_body_unit.UNIT", "package_body_unit.BUILD",
            fn=lambda b: b[0])
     p.rule("package_body_unit.MSGS", "package_body_unit.BUILD",
-           fn=lambda b: tuple(b[1]))
+           "ID.value", "id_opt.NAME",
+           fn=lambda b, name, closing: tuple(b[1]) + _closing_msgs(
+               "package body", name, closing, b[0].line))
 
     # configuration ---------------------------------------------------------------------------
     p = g.production(
@@ -1360,8 +1355,10 @@ def _unit_productions(g):
            "config_items.BINDS", "config_unit.ENV", "config_unit.CC",
            "kw_configuration.line", fn=_build_config)
     p.rule("config_unit.UNIT", "config_unit.BUILD", fn=lambda b: b[0])
-    p.rule("config_unit.MSGS", "config_unit.BUILD",
-           fn=lambda b: tuple(b[1]))
+    p.rule("config_unit.MSGS", "config_unit.BUILD", "ID0.value",
+           "id_opt.NAME",
+           fn=lambda b, name, closing: tuple(b[1]) + _closing_msgs(
+               "configuration", name, closing, b[0].line))
     p = g.production("config_items_none", "config_items ->")
     p.const("config_items.BINDS", ())
     p = g.production("config_items_more",
@@ -1375,6 +1372,14 @@ def _unit_productions(g):
     p.rule("config_item.BIND", "inst_spec.SPEC", "ID.value",
            "sel_name.PARTS", "arch_ind_opt.NAME", "config_item.CC",
            fn=_config_bind)
+
+
+def _closing_msgs(kind, name, closing, line):
+    """``end [name];`` may repeat the unit's name, and only that."""
+    if closing and closing != name:
+        return ("line %d: %s %r is closed as %r"
+                % (line, kind, name, closing),)
+    return ()
 
 
 def _iface_msgs(iface_rows):
@@ -1507,6 +1512,11 @@ def _make_grammar():
 
 
 _GRAMMAR = None
+
+#: Start-symbol inherited attributes the evaluation entry supplies.
+ENTRY_INHERITED = ("CC",)
+#: Root attributes the compiler reads back after evaluation.
+GOALS = ("UNITS", "MSGS")
 
 
 def principal_grammar():

@@ -1,8 +1,12 @@
 """AG-spec lint rules (RPA001/002/003) over toy grammars and the
 compiler's own built-in grammars."""
 
+import pytest
+
 from repro.ag import AGSpec, INH, SYN
 from repro.analysis import LintEngine
+from repro.vhdl import expr_grammar as expr
+from repro.vhdl import grammar as principal
 
 
 def toy_grammar(extra_syn=False):
@@ -17,6 +21,24 @@ def toy_grammar(extra_syn=False):
            fn=lambda v, e: v + e.get("bias", 0))
     if extra_syn:
         p.const("expr.aux", 0)
+    return g.finish()
+
+
+def copy_chain_grammar():
+    """``lvl`` is only ever copied down the ``t`` chain: every
+    occurrence is read by some implicit copy rule, yet no value of it
+    reaches the goal ``val``."""
+    g = AGSpec("chain")
+    g.terminals("A")
+    g.attr_class("lvl", INH)
+    g.nonterminal("s", ("val", SYN), "lvl")
+    g.nonterminal("t", ("val", SYN), "lvl")
+    p = g.production("s_t", "s -> t")
+    p.copy("s.val", "t.val")
+    p = g.production("t_more", "t -> t0 A")
+    p.rule("t0.val", "t1.val", "A.value", fn=lambda v, a: v + a)
+    p = g.production("t_a", "t -> A")
+    p.copy("t.val", "A.value")
     return g.finish()
 
 
@@ -60,6 +82,15 @@ class TestRPA002:
             entry_inherited=["env"], goals=["val", "aux"])
         assert findings == []
 
+    def test_value_copied_along_a_chain_is_flagged(self):
+        findings = LintEngine(select=["RPA002"]).lint_ag(
+            copy_chain_grammar(), entry_inherited=["lvl"],
+            goals=["val"])
+        assert sorted(d.message for d in findings) == [
+            "attribute s.lvl never reaches a goal",
+            "attribute t.lvl never reaches a goal",
+        ]
+
     def test_empty_goals_means_all_root_outputs(self):
         findings = LintEngine(select=["RPA002"]).lint_ag(
             toy_grammar(extra_syn=True), entry_inherited=["env"])
@@ -89,22 +120,12 @@ class TestRPA003:
 
 
 class TestBuiltinGrammars:
-    def test_principal_grammar_has_no_rpa001_or_rpa003(self):
-        from repro.vhdl.grammar import principal_grammar
-
-        findings = LintEngine(
-            select=["RPA001", "RPA003"]).lint_ag(
-            principal_grammar(),
-            entry_inherited=["ENV", "CC", "LEVEL", "RESULT",
-                             "SCOPE"],
-            goals=["UNITS", "MSGS"])
-        assert findings == []
-
-    def test_expr_grammar_has_no_rpa001_or_rpa003(self):
-        from repro.vhdl.expr_grammar import expr_grammar
-
-        findings = LintEngine(
-            select=["RPA001", "RPA003"]).lint_ag(
-            expr_grammar(), entry_inherited=["ENV", "CTX"],
-            goals=["GOAL"])
+    @pytest.mark.parametrize("module, compiled", [
+        (principal, principal.principal_grammar),
+        (expr, expr.expr_grammar),
+    ], ids=["principal", "expr"])
+    def test_every_rpa_rule_is_clean(self, module, compiled):
+        findings = LintEngine(select=["RPA"]).lint_ag(
+            compiled(), entry_inherited=module.ENTRY_INHERITED,
+            goals=module.GOALS)
         assert findings == []

@@ -70,6 +70,45 @@ class TestUnits:
         """)
         assert any("ghost" in m for m in msgs)
 
+    @pytest.mark.parametrize("kind, source", [
+        ("entity", "entity e is end wrong;"),
+        ("architecture", """
+            entity e is end e;
+            architecture rtl of e is begin end wrong;"""),
+        ("package", "package p is end wrong;"),
+        ("package body", """
+            package p is end p;
+            package body p is end wrong;"""),
+        ("configuration", """
+            entity e is end e;
+            architecture rtl of e is begin end rtl;
+            configuration cfg of e is for rtl end for; end wrong;"""),
+    ])
+    def test_mismatched_closing_name_reported(self, kind, source):
+        _c, msgs = compile_messages(source)
+        assert len(msgs) == 1, msgs
+        assert msgs[0].startswith("line ")
+        assert "%s " % kind in msgs[0]
+        assert "closed as 'wrong'" in msgs[0]
+
+    def test_closing_name_matches_in_any_case(self):
+        compile_ok("""
+            ENTITY E IS END e;
+            architecture RTL of e is begin end Rtl;
+            package P is end p;
+            package body p is end P;
+            configuration Cfg of e is for rtl end for; end CFG;
+        """)
+
+    def test_closing_name_may_be_omitted(self):
+        compile_ok("""
+            entity e is end;
+            architecture rtl of e is begin end;
+            package p is end;
+            package body p is end;
+            configuration cfg of e is for rtl end for; end;
+        """)
+
     def test_source_line_count_convention(self):
         c = Compiler(strict=False)
         res = c.compile("""

@@ -33,7 +33,7 @@ def both_ways(env, tokens, mode="M_EXPR", expected=None):
     std = standard()
     compiled = expr_grammar()
     ctx = expr_sem.Ctx(env=env, std=std, line=1, expected=expected)
-    inherited = {"ENV": env, "CTX": ctx}
+    inherited = {"CTX": ctx}
     lef_tokens = [mode_token(mode)] + tokens
     dyn_tree = compiled.parse(ListScanner(lef_tokens))
     dyn = DynamicEvaluator(compiled, inherited).goal_attributes(
